@@ -172,6 +172,10 @@ BatchHashEngine::BatchHashEngine(const EngineConfig& config)
       queue_(config.threads, config.max_queue),
       start_time_(std::chrono::steady_clock::now()) {
   if (config_.threads == 0) throw Error("engine needs at least one thread");
+  // Reserve the whole reservoir now: growing it by doubling would briefly
+  // hold the old and new buffers at once (a peak-RSS spike within the first
+  // second of a busy server), while a reserve touches no page until written.
+  latency_ns_.reserve(kMaxLatencySamples);
   // KVX_POSTMORTEM=<dir> switches on auto dumps + the crash handler for any
   // engine-bearing process without code changes (idempotent, cheap).
   obs::pm::init_from_env();

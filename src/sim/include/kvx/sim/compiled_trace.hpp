@@ -20,12 +20,13 @@
 // interpreter's by construction; the cycle model stays the sole timing
 // oracle.
 //
-// Safety: compile_trace() runs the recorder twice with the caller-named
-// verify region (the staged Keccak states) filled with different
-// pseudo-random data. If the two recordings disagree anywhere — branch
-// path, baked operand, resolved address, cycle count — the program is not
-// trace-compilable (it computes on state data outside the vector unit) and
-// compilation throws SimError. Callers fall back to the interpreter.
+// Safety: compile_trace() runs the recorder twice, concurrently, with the
+// caller-named verify region (the staged Keccak states) filled with
+// different pseudo-random data. If the two recordings disagree anywhere —
+// branch path, baked operand, resolved address, cycle count — the program
+// is not trace-compilable (it computes on state data outside the vector
+// unit) and compilation throws SimError. Callers fall back to the
+// interpreter.
 #pragma once
 
 #include <array>

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "kvx/common/types.hpp"
 
@@ -12,11 +11,23 @@ namespace kvx::sim {
 /// kvx::SimError when they fall outside the configured size. Alignment is
 /// enforced for 16/32/64-bit accesses (the Ibex core has no misaligned
 /// access support and the vector LSU transfers whole elements).
+///
+/// The bytes live in an anonymous private mapping, so a fresh memory reads
+/// zero but costs no writes: a page is backed only once the program touches
+/// it. Keccak programs touch a few KiB of the default 1 MiB, and every
+/// processor (each engine shard, each trace recording run) owns one.
 class Memory {
  public:
   explicit Memory(usize size_bytes);
+  ~Memory();
 
-  [[nodiscard]] usize size() const noexcept { return bytes_.size(); }
+  /// Moving hands the mapping over; the source is left empty (size 0).
+  Memory(Memory&& other) noexcept;
+  Memory& operator=(Memory&&) = delete;
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
+
+  [[nodiscard]] usize size() const noexcept { return size_; }
 
   [[nodiscard]] u8 read8(u32 addr) const;
   [[nodiscard]] u16 read16(u32 addr) const;
@@ -36,13 +47,11 @@ class Memory {
   void write_block(u32 addr, std::span<const u8> data);
   void read_block(u32 addr, std::span<u8> out) const;
 
-  /// Zero all bytes.
-  void clear() noexcept;
-
  private:
   void check(u32 addr, usize len, unsigned align) const;
 
-  std::vector<u8> bytes_;
+  u8* bytes_ = nullptr;
+  usize size_ = 0;
 };
 
 }  // namespace kvx::sim

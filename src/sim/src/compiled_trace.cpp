@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <future>
 
 #include "kvx/common/bits.hpp"
 #include "kvx/common/error.hpp"
@@ -770,21 +771,28 @@ bool TraceCompiler::equal(const CompiledTrace& a, const CompiledTrace& b) {
 std::shared_ptr<const CompiledTrace> compile_trace(
     const assembler::Program& program, const ProcessorConfig& cfg,
     const TraceCompileOptions& opts) {
-  // The first recording run can only estimate the executed-record count
-  // from the static code size (the round loop re-executes the body); the
-  // verification run then reserves the exact count.
+  // Each recording run can only estimate the executed-record count from
+  // the static code size (the round loop re-executes the body).
+  const usize reserve_hint = program.text.size() * 8;
+  // The verification run records on its own processor while this thread
+  // records the first: the two interpreter runs are most of a tier's
+  // start-up cost and share nothing but the immutable program. (Under the
+  // default launch policy libstdc++ runs it at get() when no thread can be
+  // started.)
+  std::future<CompiledTrace> second;
+  if (opts.verify_len != 0) {
+    second = std::async([&program, &cfg, &opts, reserve_hint] {
+      return TraceCompiler::record(program, cfg, opts,
+                                   /*fill_seed=*/0xBADC0FFEull, reserve_hint);
+    });
+  }
   auto trace = std::make_shared<CompiledTrace>(
       TraceCompiler::record(program, cfg, opts, /*fill_seed=*/0x5EED5EEDull,
-                            /*reserve_hint=*/program.text.size() * 8));
-  if (opts.verify_len != 0) {
-    const CompiledTrace second =
-        TraceCompiler::record(program, cfg, opts, /*fill_seed=*/0xBADC0FFEull,
-                              /*reserve_hint=*/trace->op_count());
-    if (!TraceCompiler::equal(*trace, second)) {
-      throw SimError(
-          "compiled trace: program control flow or operands depend on the "
-          "staged state data; use the interpreter backend");
-    }
+                            reserve_hint));
+  if (second.valid() && !TraceCompiler::equal(*trace, second.get())) {
+    throw SimError(
+        "compiled trace: program control flow or operands depend on the "
+        "staged state data; use the interpreter backend");
   }
   return trace;
 }

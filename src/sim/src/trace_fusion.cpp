@@ -1,5 +1,6 @@
 #include "kvx/sim/trace_fusion.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -797,21 +798,24 @@ class LiveMap {
  public:
   explicit LiveMap(usize bytes) : live_(bytes, u8{1}) {}
 
-  void set(u32 off, u32 len) noexcept {
-    for (u32 b = off; b < off + len && b < live_.size(); ++b) live_[b] = 1;
-  }
-  void clear(u32 off, u32 len) noexcept {
-    for (u32 b = off; b < off + len && b < live_.size(); ++b) live_[b] = 0;
-  }
+  void set(u32 off, u32 len) noexcept { fill(off, len, 1); }
+  void clear(u32 off, u32 len) noexcept { fill(off, len, 0); }
   void set_all() noexcept { std::memset(live_.data(), 1, live_.size()); }
   [[nodiscard]] bool any(u32 off, u32 len) const noexcept {
-    for (u32 b = off; b < off + len && b < live_.size(); ++b) {
-      if (live_[b]) return true;
-    }
-    return false;
+    const usize n = clamped_len(off, len);
+    return n != 0 && std::memchr(live_.data() + off, 1, n) != nullptr;
   }
 
  private:
+  /// Bytes of [off, off+len) inside the map (ranges past its end are cut).
+  [[nodiscard]] usize clamped_len(u32 off, u32 len) const noexcept {
+    return off >= live_.size() ? 0 : std::min<usize>(len, live_.size() - off);
+  }
+  void fill(u32 off, u32 len, u8 v) noexcept {
+    const usize n = clamped_len(off, len);
+    if (n != 0) std::memset(live_.data() + off, v, n);
+  }
+
   std::vector<u8> live_;
 };
 

@@ -2,9 +2,10 @@
 // frame reassembly (including slow-loris byte-at-a-time delivery and
 // oversized-frame rejection), streaming XOF sessions, the backpressure
 // governor, and — on Linux — the full HashServer event loop over real
-// sockets: hash round-trips verified against the host golden model,
-// per-connection session lifecycle, the HTTP admin plane and
-// backpressure engage/release against a tiny engine queue.
+// sockets: hash round-trips verified against the host golden model (on
+// the interpreter and on kvx-hashd's host-simd tier), per-connection
+// session lifecycle, the HTTP admin plane and backpressure engage/release
+// against a tiny engine queue.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -29,6 +30,7 @@
 #include <unistd.h>
 
 #include "kvx/net/server.hpp"
+#include "kvx/sim/exec_backend.hpp"
 #endif
 
 namespace kvx::net {
@@ -530,6 +532,97 @@ TEST_F(ServerTest, HashRoundTripsVerifyAgainstGoldenModel) {
     EXPECT_EQ(resp->id, 100 + i);
     EXPECT_EQ(resp->body, engine::host_reference_digest(jobs[i]));
   }
+}
+
+TEST_F(ServerTest, HostSimdTierServesEveryAlgorithmAndSessions) {
+  // The kvx-hashd configuration: shards start on the host-simd tier.
+  ServerConfig cfg = small_config();
+  cfg.engine.accel.backend = sim::ExecBackend::kHostSimd;
+  start(cfg);
+  TestClient client;
+  client.connect_to(server_->port());
+
+  const engine::Algo algos[] = {
+      engine::Algo::kSha3_224, engine::Algo::kSha3_256,
+      engine::Algo::kSha3_384, engine::Algo::kSha3_512,
+      engine::Algo::kShake128, engine::Algo::kShake256,
+      engine::Algo::kKmac128,  engine::Algo::kKmac256};
+  SplitMix64 rng(13);
+  std::vector<engine::HashJob> jobs;
+  for (const engine::Algo algo : algos) {
+    for (const usize len : {0u, 34u, 200u, 1000u}) {
+      engine::HashJob job;
+      job.algo = algo;
+      job.message.resize(len);
+      for (u8& b : job.message) b = static_cast<u8>(rng.next());
+      if (engine::fixed_digest_bytes(algo) == 0) job.out_len = 672;
+      if (algo == engine::Algo::kKmac128 || algo == engine::Algo::kKmac256) {
+        job.out_len = 48;
+        job.key.assign(32, 0x5a);
+        job.customization = bytes({0x01, 0x02});
+      }
+      jobs.push_back(std::move(job));
+    }
+  }
+  for (usize i = 0; i < jobs.size(); ++i) {
+    Request req;
+    req.id = i;
+    req.op = Opcode::kHash;
+    req.algo = jobs[i].algo;
+    req.out_len = static_cast<u32>(jobs[i].out_len);
+    req.key = jobs[i].key;
+    req.customization = jobs[i].customization;
+    req.message = jobs[i].message;
+    client.send_request(req);
+  }
+  for (usize i = 0; i < jobs.size(); ++i) {
+    const auto resp = client.recv_response();
+    ASSERT_TRUE(resp.has_value());
+    ASSERT_TRUE(resp->ok()) << resp->error_text();
+    EXPECT_EQ(resp->id, i);
+    EXPECT_EQ(resp->body, engine::host_reference_digest(jobs[i]))
+        << engine::algo_name(jobs[i].algo) << " len "
+        << jobs[i].message.size();
+  }
+
+  const std::vector<u8> seed = bytes({0x34, 0x12, 0x00});
+  Request open;
+  open.id = 500;
+  open.op = Opcode::kOpenSession;
+  open.algo = engine::Algo::kShake128;
+  open.message = seed;
+  client.send_request(open);
+  auto resp = client.recv_response();
+  ASSERT_TRUE(resp.has_value());
+  ASSERT_TRUE(resp->ok()) << resp->error_text();
+  ASSERT_EQ(resp->body.size(), 8u);
+  const u64 sid = load_le64(std::span<const u8, 8>(resp->body.data(), 8));
+  keccak::Xof mirror(keccak::Sha3Function::kShake128);
+  mirror.absorb(seed);
+  for (const u32 n : {168u, 504u, 5u}) {
+    Request sq;
+    sq.id = 600 + n;
+    sq.op = Opcode::kSqueeze;
+    sq.session_id = sid;
+    sq.squeeze_len = n;
+    client.send_request(sq);
+    resp = client.recv_response();
+    ASSERT_TRUE(resp.has_value());
+    ASSERT_TRUE(resp->ok()) << resp->error_text();
+    EXPECT_EQ(resp->body, mirror.squeeze(n));
+  }
+
+  server_->stop();
+  loop_.join();
+  const engine::EngineStats st = server_->engine().stats();
+  EXPECT_EQ(st.backend, "host-simd");
+  EXPECT_EQ(st.effective_backend, "host-simd");
+  ASSERT_EQ(st.shards.size(), 2u);
+  for (const engine::ShardStats& shard : st.shards) {
+    EXPECT_EQ(shard.fallbacks, 0u);
+  }
+  EXPECT_EQ(st.failed, 0u);
+  server_.reset();
 }
 
 TEST_F(ServerTest, MalformedRequestsAnswerBadRequestAndKeepTheConnection) {

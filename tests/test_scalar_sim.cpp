@@ -2,6 +2,8 @@
 // edge cases, control flow, memory, CSRs, and small end-to-end programs.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "kvx/asm/assembler.hpp"
 #include "kvx/common/error.hpp"
 #include "kvx/sim/processor.hpp"
@@ -389,6 +391,41 @@ TEST(ScalarSim, MisalignedAccessFaults) {
     ebreak
   )"));
   EXPECT_THROW(p.run(), SimError);
+}
+
+// --- data memory ----------------------------------------------------------------
+
+TEST(Memory, FreshMemoryReadsZeroAndIsBoundsChecked) {
+  const Memory mem(ProcessorConfig{}.dmem_bytes);
+  const u32 size = static_cast<u32>(mem.size());
+  EXPECT_EQ(mem.read8(0), 0u);
+  EXPECT_EQ(mem.read8(size / 2), 0u);
+  EXPECT_EQ(mem.read8(size - 1), 0u);
+  EXPECT_EQ(mem.read64(size - 8), 0u);
+  EXPECT_THROW((void)mem.read64(size), SimError);
+  EXPECT_THROW((void)mem.read8(size), SimError);
+}
+
+TEST(Memory, WritesLandAtTheLastWordAndMoveWithTheMemory) {
+  Memory mem(1 << 16);
+  const u32 last = static_cast<u32>(mem.size()) - 8;
+  mem.write64(last, 0x0123456789abcdefull);
+  EXPECT_THROW(mem.write64(last + 8, 1), SimError);
+  Memory moved(std::move(mem));
+  EXPECT_EQ(moved.size(), usize{1} << 16);
+  EXPECT_EQ(moved.read64(last), 0x0123456789abcdefull);
+  EXPECT_EQ(moved.read32(last + 4), 0x01234567u);
+}
+
+TEST(Memory, ProcessorsOwnIndependentMemories) {
+  SimdProcessor a = make_proc();
+  SimdProcessor b = make_proc();
+  a.dmem().write64(0x100, ~u64{0});
+  b.dmem().write32(0x200, 7);
+  EXPECT_EQ(a.dmem().read64(0x100), ~u64{0});
+  EXPECT_EQ(b.dmem().read64(0x100), 0u);
+  EXPECT_EQ(b.dmem().read32(0x200), 7u);
+  EXPECT_EQ(a.dmem().read32(0x200), 0u);
 }
 
 TEST(ScalarSim, RunawayProgramHitsWatchdog) {

@@ -21,11 +21,22 @@
 //                         never aborts
 //     --postmortem DIR    crash-dump directory (default $KVX_POSTMORTEM or .)
 //
-// Prints "kvx-hashd: listening on ADDR:PORT" on stdout once accepting (the
-// line CI and kvx-loadgen wait for), runs until SIGINT/SIGTERM, then shuts
-// down gracefully: intake stops, queued jobs retire, and the fail-soft
-// accounting invariant (submitted == completed + failed) is checked at
-// rest — a violation makes the exit code nonzero.
+// Shards serve on the host-simd tier (Keccak steps lowered to AVX-512 /
+// AVX2 / portable host vectors). It is not the jit: at the default SN 3
+// the jit emits an AVX2 body that gains little or nothing over host-simd,
+// costs more to compile, and would put W^X executable memory in a
+// network-facing process. Injected faults demote a dispatch host-simd ->
+// fused -> trace -> interpreter, so the interpreter stays the floor of the
+// chain. The tier compiles before the readiness line (two concurrent
+// interpreter recordings for the data-independence check, then fusion and
+// lowering); simulator RAM is mapped lazily, so those recordings and the
+// shards' processors write no zeros.
+//
+// Prints "kvx-hashd: listening on ADDR:PORT (... backend=TIER ...)" on
+// stdout once accepting (the line CI and kvx-loadgen wait for), runs until
+// SIGINT/SIGTERM, then shuts down gracefully: intake stops, queued jobs
+// retire, and the fail-soft accounting invariant (submitted == completed +
+// failed) is checked at rest — a violation makes the exit code nonzero.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -56,6 +67,7 @@ int main(int argc, char** argv) {
   cfg.port = 9877;
   cfg.engine.threads = 4;
   cfg.engine.accel = {core::Arch::k64Lmul8, 15, 24};  // SN = 3
+  cfg.engine.accel.backend = sim::ExecBackend::kHostSimd;
   cfg.engine.max_queue = 1024;
   std::string fault_spec;
   std::string dump_dir;
@@ -126,10 +138,10 @@ int main(int argc, char** argv) {
     std::signal(SIGPIPE, SIG_IGN);
 
     std::printf("kvx-hashd: listening on %s:%u (%u shards x SN=%u, "
-                "max_queue=%zu)\n",
+                "backend=%s, max_queue=%zu)\n",
                 cfg.bind_addr.c_str(), unsigned{server.port()},
-                server.engine().threads(),
-                server.engine().lanes_per_shard(), cfg.engine.max_queue);
+                server.engine().threads(), server.engine().lanes_per_shard(),
+                server.engine().stats().backend.c_str(), cfg.engine.max_queue);
     std::fflush(stdout);  // the readiness line tools/CI wait for
 
     server.run();
@@ -143,10 +155,10 @@ int main(int argc, char** argv) {
     const engine::EngineStats st = server.engine().stats();
     const net::ServerCounters& c = server.counters();
     std::printf(
-        "kvx-hashd: shutdown — %llu submitted, %llu completed, %llu "
-        "failed | %llu conns, %llu requests, %llu http, %llu "
-        "backpressure engagements\n",
-        static_cast<unsigned long long>(st.submitted),
+        "kvx-hashd: shutdown — backend=%s, %llu submitted, %llu "
+        "completed, %llu failed | %llu conns, %llu requests, %llu http, "
+        "%llu backpressure engagements\n",
+        st.backend.c_str(), static_cast<unsigned long long>(st.submitted),
         static_cast<unsigned long long>(st.completed),
         static_cast<unsigned long long>(st.failed),
         static_cast<unsigned long long>(c.accepted),
