@@ -75,11 +75,12 @@ double run_once(sim::ExecBackend backend, unsigned sn, unsigned threads,
                                      // excluded; compile time is reported
                                      // separately from the trace cache
   const auto t0 = Clock::now();
-  eng.submit_all(jobs);
-  const auto outs = eng.drain();
+  eng.submit_batch(jobs);
+  std::vector<engine::JobResult> outs;
+  eng.drain_batch(outs);
   const double s = std::chrono::duration<double>(Clock::now() - t0).count();
   for (usize i = 0; i < jobs.size(); ++i) {
-    if (outs[i] != expected[i]) {
+    if (outs[i].digest != expected[i]) {
       std::printf("DIGEST MISMATCH (backend=%s SN=%u threads=%u job=%zu)\n",
                   std::string(sim::backend_name(backend)).c_str(), sn, threads,
                   i);

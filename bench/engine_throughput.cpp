@@ -84,11 +84,12 @@ int main() {
                                            // compile) excluded from timing
         t0 = Clock::now();
         (void)eng.submit_batch(jobs);  // one-lock bulk intake (hot path)
-        const auto outs = eng.drain();
+        std::vector<engine::JobResult> outs;
+        eng.drain_batch(outs);
         const double s = seconds_since(t0);
         const u64 wall_ns = static_cast<u64>(s * 1e9);
         for (usize i = 0; i < kJobs; ++i) {
-          if (outs[i] != expected[i]) {
+          if (outs[i].digest != expected[i]) {
             std::printf("ENGINE DIGEST MISMATCH at job %zu\n", i);
             return 1;
           }

@@ -17,11 +17,11 @@
 // SHAKE XOFs, some KMAC authentications) through a BatchHashEngine and
 // cross-checks every successful digest against the host golden model, then
 // prints the per-shard accounting. Jobs fail *individually*, the way a real
-// service reports them: results come back via drain_results() — never the
-// throwing drain(), which would turn a single per-job failure into a
-// process abort and defeat the fail-soft chain this example showcases —
-// and each failed job prints its error plus the backend demotion path the
-// accelerator went through. The exit code is nonzero only when a digest
+// service reports them: drain_batch() hands back one JobResult per job, in
+// submission order, failed or not — a single per-job failure never becomes
+// a process abort that would defeat the fail-soft chain this example
+// showcases — and each failed job prints its error plus the backend
+// demotion path the accelerator went through. The exit code is nonzero only when a digest
 // MISMATCHES the golden model (silent corruption); injected per-job
 // failures are expected, reported traffic.
 //
@@ -168,11 +168,11 @@ int main(int argc, char** argv) {
     }
   });
 
-  engine.submit_all(jobs);
-  // drain_results, NOT drain(): per-job outcomes, never an exception. One
-  // faulted job must not abort the service — that is the whole point of
-  // the fail-soft chain.
-  const std::vector<JobResult> results = engine.drain_results();
+  engine.submit_batch(jobs);
+  // Per-job outcomes, never an exception: one faulted job must not abort
+  // the service — that is the whole point of the fail-soft chain.
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
 
   {
     std::lock_guard<std::mutex> lock(scrape_mutex);

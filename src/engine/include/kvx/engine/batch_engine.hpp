@@ -10,10 +10,11 @@
 // (kvx/engine/job_queue.hpp). Total parallelism = threads × SN.
 //
 // Guarantees:
-//  * Deterministic ordering — every job carries a dense sequence id and
-//    drain()/drain_results()/drain_batch() return outcomes in submission
-//    order, independent of worker scheduling and stealing. Digests are
-//    bit-identical to a single-threaded run.
+//  * Deterministic ordering where asked for — every job carries a dense
+//    sequence id (JobResult::seq). drain_batch() returns outcomes in
+//    submission order, independent of worker scheduling and stealing;
+//    try_drain_ready() hands them out as they retire, for event loops that
+//    route by seq. Digests are bit-identical to a single-threaded run.
 //  * Fail-soft isolation — jobs fail individually. A malformed job, an
 //    injected fault or a dispatch error marks ONLY the jobs of that
 //    dispatch group as failed; batch-mates and every other job complete
@@ -85,7 +86,8 @@ class BatchHashEngine {
   BatchHashEngine(const BatchHashEngine&) = delete;
   BatchHashEngine& operator=(const BatchHashEngine&) = delete;
 
-  /// Submit one job; returns its sequence id (dense, starting at 0).
+  /// Submit one job; returns its sequence id (dense, starting at 0) — the
+  /// ticket its JobResult::seq carries back.
   ///
   /// Malformed jobs (variable-output algorithm without out_len,
   /// fixed-output algorithm with a mismatching out_len, key material on a
@@ -104,24 +106,20 @@ class BatchHashEngine {
   /// producer threads concurrently: each span gets a contiguous id range.
   u64 submit_batch(std::span<const HashJob> jobs);
 
-  /// Submit a span of jobs; returns the sequence id of the first. (Alias
-  /// of submit_batch, kept for source compatibility.)
-  u64 submit_all(std::span<const HashJob> jobs) { return submit_batch(jobs); }
-
   /// Block until every job submitted so far has retired, then *append* all
-  /// outcomes not yet collected to `out` in submission order — one
-  /// JobResult per job, failed or not — reusing the caller's buffer.
-  /// Returns the number appended. The engine stays usable for further
-  /// submissions afterwards (unless closed).
+  /// outcomes not yet collected to `out`, sorted by seq — one JobResult per
+  /// job, failed or not — reusing the caller's buffer. Submission order
+  /// holds even after a partial try_drain_ready(): the remainder comes back
+  /// sorted. Returns the number appended. The engine stays usable for
+  /// further submissions afterwards (unless closed).
   usize drain_batch(std::vector<JobResult>& out);
 
-  /// Non-blocking drain for event loops: append the contiguous prefix of
-  /// already-retired outcomes (in submission order) to `out` and return the
-  /// number appended — possibly 0, never waiting. `max` != 0 caps the
-  /// collection (bounding event-loop work per wakeup). A job whose result
-  /// is still pending stops the prefix even if later jobs have retired, so
-  /// ordering is identical to the blocking drains.
-  usize try_drain_ready(std::vector<JobResult>& out, usize max = 0);
+  /// Non-blocking drain for event loops: append every outcome retired so
+  /// far, in retirement order (NOT submission order — route by
+  /// JobResult::seq), and return the number appended; possibly 0, never
+  /// waiting. A slow job therefore never holds back jobs that finished
+  /// after it. When `out` is empty this is a swap of buffers.
+  usize try_drain_ready(std::vector<JobResult>& out);
 
   /// Register a completion-notification fd (an eventfd or pipe write end):
   /// after every retirement the engine write()s a u64 of 1 to it, so an
@@ -134,24 +132,8 @@ class BatchHashEngine {
     notify_fd_.store(fd, std::memory_order_release);
   }
 
-  /// Block until every job submitted so far has retired, then return all
-  /// outcomes not yet collected, in submission order — one JobResult per
-  /// job, failed or not. The engine stays usable for further submissions
-  /// afterwards (unless closed).
-  std::vector<JobResult> drain_results();
-
-  /// Digest-only convenience over drain_results(): throws Error if ANY
-  /// job failed (message carries the failure count and the first error),
-  /// otherwise returns the digests in submission order.
-  std::vector<std::vector<u8>> drain();
-
-  /// Block until job `seq` retires and return a copy of its outcome.
-  /// Throws Error if `seq` was never issued or its result was already
-  /// collected by a drain call.
-  JobResult result(u64 seq);
-
   /// Stop accepting new jobs. Already-queued jobs still complete; call
-  /// drain()/drain_results() to collect them. Idempotent.
+  /// drain_batch() to collect them. Idempotent.
   void close();
 
   [[nodiscard]] unsigned threads() const noexcept {
@@ -192,16 +174,20 @@ class BatchHashEngine {
   void worker_loop(unsigned index, Shard& shard);
   void process_batch(Shard& shard, std::vector<QueuedJob>& batch);
   /// Retire every job of `batch` as failed with the same error (the
-  /// worker-loop backstop for non-dispatch failures).
+  /// worker-loop backstop for non-dispatch failures). process_batch clears
+  /// the jobs it retired, so none is retired twice.
   void fail_batch(Shard& shard, const std::vector<QueuedJob>& batch,
                   const char* what);
   /// Record one submit-to-retire latency sample (histogram, reservoir,
   /// exact max). `flight_seq` (if nonzero) becomes the histogram bucket's
   /// exemplar when the sample is its new maximum. Caller holds state_mutex_.
   void record_latency_locked(u64 sample_ns, u64 flight_seq);
-  /// Mark job `seq` failed and retired (slot write + accounting + metrics
+  /// Mark job `seq` failed and retired (ready_ entry + accounting + metrics
   /// + latency stamp + flight event). Caller holds state_mutex_.
   void fail_job_locked(u64 seq, u64 submit_ns, std::string error);
+  /// Move ready_ to the end of `out` (a swap when `out` is empty) and
+  /// return the count moved. Caller holds state_mutex_.
+  usize take_ready_locked(std::vector<JobResult>& out);
   /// Push submitted/completed/failed into the post-mortem mirror (relaxed
   /// stores; no-op without a mirror). Caller holds state_mutex_.
   void sync_mirror_locked() noexcept;
@@ -233,7 +219,6 @@ class BatchHashEngine {
   u64 submitted_ = 0;   ///< total jobs accepted
   u64 retired_ = 0;     ///< jobs with an outcome recorded (ok or failed)
   u64 failed_ = 0;      ///< subset of retired_ carrying a per-job error
-  u64 collected_ = 0;   ///< results already returned by drain calls
   bool closed_ = false;
   u64 backend_compile_ns_ = 0;  ///< trace compile+fuse time at construction
   std::chrono::steady_clock::time_point start_time_;
@@ -246,17 +231,14 @@ class BatchHashEngine {
   u64 latency_max_ns_ = 0;    ///< exact maximum (not sampled)
   u64 latency_sum_ns_ = 0;    ///< exact sum (summary _sum series)
   SplitMix64 latency_rng_{0x6B76785F6C6174ull};  ///< deterministic slots
-  /// Outcome of job seq = collected_ + i at index i; filled out of order
-  /// by workers, returned in order by drain calls. done_[i] flags slot i
-  /// as retired (results_[i].ok() cannot distinguish "pending" from
-  /// "succeeded" on its own).
-  std::vector<JobResult> results_;
-  std::vector<u8> done_;
+  /// Retired outcomes not yet collected, in retirement order; each carries
+  /// its seq. Workers append, the drains move it out.
+  std::vector<JobResult> ready_;
 };
 
 /// One-shot convenience: run `jobs` through a temporary engine and return
-/// the digests in submission order (throws on any per-job failure, like
-/// drain()).
+/// the digests in submission order. Throws Error if ANY job failed (the
+/// message carries the failure count and the first error).
 [[nodiscard]] std::vector<std::vector<u8>> run_batch(
     const EngineConfig& config, std::span<const HashJob> jobs);
 

@@ -2,9 +2,10 @@
 //
 // A HashJob describes one message to hash with one algorithm of the
 // accelerated family (FIPS 202 SHA-3/SHAKE or SP 800-185 KMAC). Jobs are
-// submitted to a BatchHashEngine, which assigns each a dense sequence id;
-// results are always reassembled in submission order, so callers never see
-// the scheduling nondeterminism of the worker pool.
+// submitted to a BatchHashEngine, which assigns each a dense sequence id.
+// Every JobResult carries that id back, so a caller can either take results
+// as they retire and route them by seq, or collect them reassembled in
+// submission order (BatchHashEngine::drain_batch).
 #pragma once
 
 #include <string>
@@ -90,12 +91,15 @@ struct TierAttempt {
 /// faulted dispatch never discards its batch-mates — so every submitted job
 /// always produces exactly one JobResult.
 struct JobResult {
+  /// The job's sequence id, as returned by submit()/submit_batch().
+  u64 seq = 0;
   /// The digest; empty when the job failed.
   std::vector<u8> digest;
   /// Failure reason; empty means the job succeeded.
   std::string error;
-  /// Execution backend that produced the digest ("interpreter" / "trace" /
-  /// "fused"); empty when the job failed before reaching a shard.
+  /// Execution backend that produced the digest, one tier of the demotion
+  /// chain jit -> host-simd -> fused -> trace -> interpreter (named as by
+  /// sim::backend_name); empty when the job failed before reaching a shard.
   std::string backend;
   /// Failure forensics: every tier the accelerator tried for this job —
   /// construction-time rejections first, then the dispatch chain. Empty for

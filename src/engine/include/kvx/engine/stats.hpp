@@ -14,7 +14,8 @@ namespace kvx::engine {
 struct ShardStats {
   u64 jobs = 0;               ///< jobs completed (successfully) by this shard
   u64 failures = 0;           ///< jobs retired with a per-job error
-  u64 fallbacks = 0;          ///< backend demotions (fused→trace→interpreter)
+  /// Backend demotions (jit → host-simd → fused → trace → interpreter).
+  u64 fallbacks = 0;
   u64 bytes = 0;              ///< message bytes hashed
   u64 dispatches = 0;         ///< batches popped from the queue
   u64 sim_cycles = 0;         ///< simulated accelerator cycles consumed
@@ -57,7 +58,7 @@ struct EngineStats {
   u64 submitted = 0;          ///< jobs accepted by submit()
   u64 completed = 0;          ///< jobs retired successfully (digest available)
   /// Jobs retired with a per-job error. Invariant, held exactly at every
-  /// quiescent point (after drain()/drain_results()):
+  /// quiescent point (after drain_batch()):
   ///   submitted == completed + failed
   u64 failed = 0;
   usize queue_high_water = 0; ///< max queue depth observed since start

@@ -60,8 +60,9 @@ struct EngineMetrics {
                   "Jobs retired successfully (digest available)"),
         r.counter("kvx_engine_job_failures_total",
                   "Jobs retired with a per-job error"),
-        r.counter("kvx_engine_fallbacks_total",
-                  "Backend demotions (fused->trace->interpreter)"),
+        r.counter(
+            "kvx_engine_fallbacks_total",
+            "Backend demotions (jit->host-simd->fused->trace->interpreter)"),
         r.counter("kvx_engine_bytes_hashed_total", "Message bytes hashed"),
         r.counter("kvx_engine_dispatches_total",
                   "Job batches dispatched to shard accelerators"),
@@ -343,10 +344,10 @@ void BatchHashEngine::fail_job_locked(u64 seq, u64 submit_ns,
   const u64 fseq = obs::FlightRecorder::global().record(
       obs::FlightEventType::kJobFail, 0, seq,
       obs::flight_hash(error.c_str()));
-  const usize idx = static_cast<usize>(seq - collected_);
-  results_[idx].error = std::move(error);
-  results_[idx].flight_seq = fseq;
-  done_[idx] = 1;
+  JobResult& r = ready_.emplace_back();
+  r.seq = seq;
+  r.error = std::move(error);
+  r.flight_seq = fseq;
   retired_ += 1;
   failed_ += 1;
   EngineMetrics::get().job_failures.inc();
@@ -363,8 +364,6 @@ u64 BatchHashEngine::submit(HashJob job) {
     std::lock_guard lock(state_mutex_);
     if (closed_) throw Error("submit after close()");
     seq = submitted_++;
-    results_.emplace_back();
-    done_.push_back(0);
   }
   EngineMetrics::get().jobs_submitted.inc();
   obs::FlightRecorder::global().record(obs::FlightEventType::kJobSubmit, 0,
@@ -419,16 +418,14 @@ u64 BatchHashEngine::submit_batch(std::span<const HashJob> jobs) {
   const u64 submit_ns = steady_now_ns();
   u64 first = 0;
   {
-    // ONE state-mutex acquisition reserves the contiguous sequence range,
-    // grows the result slots and retires the malformed jobs — concurrent
-    // submit_batch callers each get a dense, disjoint range.
+    // ONE state-mutex acquisition reserves the contiguous sequence range
+    // and retires the malformed jobs — concurrent submit_batch callers each
+    // get a dense, disjoint range.
     std::lock_guard lock(state_mutex_);
     first = submitted_;
     if (jobs.empty()) return first;
     if (closed_) throw Error("submit after close()");
     submitted_ += jobs.size();
-    results_.resize(results_.size() + jobs.size());
-    done_.resize(done_.size() + jobs.size(), 0);
     for (usize i = 0; i < jobs.size(); ++i) {
       if (ok[i] == 0) {
         fail_job_locked(first + i, submit_ns, std::move(errors[i]));
@@ -482,83 +479,38 @@ void BatchHashEngine::close() {
   queue_.close();
 }
 
-usize BatchHashEngine::drain_batch(std::vector<JobResult>& out) {
-  std::unique_lock lock(state_mutex_);
-  all_done_.wait(lock, [&] { return retired_ == submitted_; });
-  const usize n = results_.size();
+usize BatchHashEngine::take_ready_locked(std::vector<JobResult>& out) {
+  const usize n = ready_.size();
   if (out.empty()) {
-    out = std::move(results_);
+    out.swap(ready_);  // hands the caller's spare capacity back to workers
   } else {
-    out.insert(out.end(), std::make_move_iterator(results_.begin()),
-               std::make_move_iterator(results_.end()));
+    out.insert(out.end(), std::make_move_iterator(ready_.begin()),
+               std::make_move_iterator(ready_.end()));
+    ready_.clear();
   }
-  results_.clear();
-  done_.clear();
-  collected_ += n;
   return n;
 }
 
-std::vector<JobResult> BatchHashEngine::drain_results() {
-  std::vector<JobResult> out;
-  drain_batch(out);
-  return out;
-}
-
-usize BatchHashEngine::try_drain_ready(std::vector<JobResult>& out,
-                                       usize max) {
-  std::lock_guard lock(state_mutex_);
-  // Results are handed out strictly in submission order, same as drain():
-  // only the contiguous retired prefix is collectable. A still-in-flight
-  // job at the front holds everything behind it (the caller sleeps on the
-  // notify fd and retries, so this is starvation-free).
-  const usize limit = max == 0 ? results_.size() : std::min(max, results_.size());
+usize BatchHashEngine::drain_batch(std::vector<JobResult>& out) {
+  const usize before = out.size();
   usize n = 0;
-  while (n < limit && done_[n] != 0) ++n;
-  if (n == 0) return 0;
-  out.insert(out.end(), std::make_move_iterator(results_.begin()),
-             std::make_move_iterator(results_.begin() +
-                                     static_cast<std::ptrdiff_t>(n)));
-  results_.erase(results_.begin(),
-                 results_.begin() + static_cast<std::ptrdiff_t>(n));
-  done_.erase(done_.begin(), done_.begin() + static_cast<std::ptrdiff_t>(n));
-  collected_ += n;
+  {
+    std::unique_lock lock(state_mutex_);
+    all_done_.wait(lock, [&] { return retired_ == submitted_; });
+    // With every submitted job retired, ready_ holds exactly the ids not
+    // collected yet; sorting them restores submission order.
+    n = take_ready_locked(out);
+  }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(before), out.end(),
+            [](const JobResult& a, const JobResult& b) {
+              return a.seq < b.seq;
+            });
   return n;
 }
 
-std::vector<std::vector<u8>> BatchHashEngine::drain() {
-  std::vector<JobResult> rs = drain_results();
-  usize failures = 0;
-  const std::string* first = nullptr;
-  for (const JobResult& r : rs) {
-    if (!r.ok()) {
-      if (first == nullptr) first = &r.error;
-      ++failures;
-    }
-  }
-  if (failures != 0) {
-    throw Error(strfmt("%zu of %zu jobs failed; first error: %s", failures,
-                       rs.size(), first->c_str()));
-  }
-  std::vector<std::vector<u8>> out;
-  out.reserve(rs.size());
-  for (JobResult& r : rs) out.push_back(std::move(r.digest));
-  return out;
-}
-
-JobResult BatchHashEngine::result(u64 seq) {
-  std::unique_lock lock(state_mutex_);
-  if (seq >= submitted_) {
-    throw Error(strfmt("result: sequence id %llu was never issued",
-                       static_cast<unsigned long long>(seq)));
-  }
-  all_done_.wait(lock, [&] {
-    return seq < collected_ || done_[static_cast<usize>(seq - collected_)] != 0;
-  });
-  if (seq < collected_) {
-    throw Error(strfmt("result: job %llu was already collected by drain",
-                       static_cast<unsigned long long>(seq)));
-  }
-  return results_[static_cast<usize>(seq - collected_)];
+usize BatchHashEngine::try_drain_ready(std::vector<JobResult>& out) {
+  std::lock_guard lock(state_mutex_);
+  return take_ready_locked(out);
 }
 
 EngineStats BatchHashEngine::stats() const {
@@ -639,13 +591,12 @@ void BatchHashEngine::fail_batch(Shard& shard,
   {
     std::lock_guard lock(state_mutex_);
     for (const QueuedJob& qj : batch) {
-      const usize idx = static_cast<usize>(qj.seq - collected_);
-      if (done_[idx] != 0) continue;  // already retired by process_batch
       const u64 fseq =
           fr.record(obs::FlightEventType::kJobFail, 0, qj.seq, err_hash);
-      results_[idx].error = what;
-      results_[idx].flight_seq = fseq;
-      done_[idx] = 1;
+      JobResult& r = ready_.emplace_back();
+      r.seq = qj.seq;
+      r.error = what;
+      r.flight_seq = fseq;
       retired_ += 1;
       failed_ += 1;
       shard.stats.failures += 1;
@@ -794,18 +745,23 @@ void BatchHashEngine::process_batch(Shard& shard,
   const u64 retire_ns = steady_now_ns();
   {
     std::lock_guard lock(state_mutex_);
+    // Reserve first (growing geometrically): past this point nothing in
+    // the loop allocates or throws, so the batch retires whole or not at
+    // all, and clearing it afterwards keeps the fail_batch backstop from
+    // retiring a job twice.
+    if (ready_.capacity() - ready_.size() < batch.size()) {
+      ready_.reserve(std::max(ready_.size() + batch.size(),
+                              2 * ready_.capacity()));
+    }
     for (usize i = 0; i < batch.size(); ++i) {
-      // collected_ only moves when results_ is empty (drain retires every
-      // completed job at once), so this index is always in range.
-      const usize idx = static_cast<usize>(batch[i].seq - collected_);
       u64 fseq = retire_seq;
       if (!outcomes[i].ok()) {
         fseq = fr.record(obs::FlightEventType::kJobFail, 0, batch[i].seq,
                          obs::flight_hash(outcomes[i].error));
       }
+      outcomes[i].seq = batch[i].seq;
       outcomes[i].flight_seq = fseq;
-      results_[idx] = std::move(outcomes[i]);
-      done_[idx] = 1;
+      ready_.push_back(std::move(outcomes[i]));
       // Every retirement is latency-stamped, failed or not — dropping
       // failures would skew p50/p99.9 toward the surviving jobs.
       record_latency_locked(retire_ns - batch[i].submit_ns, fseq);
@@ -833,6 +789,7 @@ void BatchHashEngine::process_batch(Shard& shard,
       sm.permutations.store(shard.stats.permutations,
                             std::memory_order_relaxed);
     }
+    batch.clear();
     all_done_.notify_all();
   }
   notify_retire();
@@ -845,9 +802,26 @@ void BatchHashEngine::process_batch(Shard& shard,
 std::vector<std::vector<u8>> run_batch(const EngineConfig& config,
                                        std::span<const HashJob> jobs) {
   BatchHashEngine engine(config);
-  engine.submit_all(jobs);
+  engine.submit_batch(jobs);
   engine.close();
-  return engine.drain();
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
+  usize failures = 0;
+  const std::string* first = nullptr;
+  for (const JobResult& r : results) {
+    if (!r.ok()) {
+      if (first == nullptr) first = &r.error;
+      ++failures;
+    }
+  }
+  if (failures != 0) {
+    throw Error(strfmt("%zu of %zu jobs failed; first error: %s", failures,
+                       results.size(), first->c_str()));
+  }
+  std::vector<std::vector<u8>> digests;
+  digests.reserve(results.size());
+  for (JobResult& r : results) digests.push_back(std::move(r.digest));
+  return digests;
 }
 
 }  // namespace kvx::engine

@@ -6,9 +6,11 @@
 //     One-shot HASH requests are submitted to the engine and the loop
 //     moves on; the engine pokes a completion eventfd on every retirement
 //     (BatchHashEngine::set_notify_fd) and the loop collects finished
-//     results with the non-blocking try_drain_ready() when that fd fires.
-//     The engine's worker shards provide all the parallelism — the loop
-//     only shuffles bytes.
+//     results with the non-blocking try_drain_ready() when that fd fires,
+//     routing each by its seq. Results come in retirement order, so a slow
+//     job never holds back replies that finished after it; clients match
+//     replies to requests by id. The engine's worker shards provide all
+//     the parallelism — the loop only shuffles bytes.
 //   * Streaming XOF sessions (OPEN/SQUEEZE/CLOSE) run host-side on the
 //     loop thread (kvx/net/session.hpp): squeezing is a few permutations,
 //     far below the syscall noise floor, and keeping sponge state off the

@@ -84,7 +84,6 @@ struct HashServer::Impl {
   int engine_fd = -1;
   u16 bound_port = 0;
   u64 next_conn_id = kFirstConnId;
-  u64 next_result_seq = 0;  ///< seq of the next result try_drain_ready yields
   std::unordered_map<u64, std::unique_ptr<Conn>> conns;
   std::unordered_map<u64, Pending> pending;
   std::vector<engine::JobResult> drained;  ///< reused drain buffer
@@ -538,10 +537,9 @@ struct HashServer::Impl {
     // Coalesced edge: one read clears however many retirements fired.
     (void)!::read(engine_fd, &clear, sizeof clear);
     drained.clear();
-    eng.try_drain_ready(drained);
+    eng.try_drain_ready(drained);  // retirement order; routed by seq
     for (engine::JobResult& r : drained) {
-      const u64 seq = next_result_seq++;
-      const auto pit = pending.find(seq);
+      const auto pit = pending.find(r.seq);
       if (pit == pending.end()) continue;  // job from a direct submit (none)
       const Pending route = pit->second;
       pending.erase(pit);

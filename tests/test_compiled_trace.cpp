@@ -251,8 +251,10 @@ TEST(CompiledTrace, EngineStatsReportBackend) {
     cfg.accel = {Arch::k64Lmul8, 15, 24};
     cfg.accel.backend = backend;
     engine::BatchHashEngine eng(cfg);
-    eng.submit_all(jobs);
-    (void)eng.drain();
+    eng.submit_batch(jobs);
+    std::vector<engine::JobResult> results;
+    eng.drain_batch(results);
+    for (const engine::JobResult& r : results) ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(eng.stats().backend, sim::backend_name(backend));
   }
 }

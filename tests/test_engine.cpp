@@ -61,6 +61,18 @@ std::vector<std::vector<u8>> host_references(std::span<const HashJob> jobs) {
   return refs;
 }
 
+/// The blocking ordered drain, digests only; every job must have succeeded.
+std::vector<std::vector<u8>> drain_digests(BatchHashEngine& engine) {
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
+  std::vector<std::vector<u8>> digests;
+  for (JobResult& r : results) {
+    EXPECT_TRUE(r.ok()) << r.error;
+    digests.push_back(std::move(r.digest));
+  }
+  return digests;
+}
+
 /// Single-threaded accelerator reference: each job dispatched alone through
 /// one ParallelSha3 (no engine, no host threads).
 std::vector<std::vector<u8>> single_thread_references(
@@ -157,12 +169,53 @@ TEST(Engine, DrainThenReuseKeepsOrdering) {
   BatchHashEngine engine(cfg);
   const auto first = random_job_mix(10, 21);
   const auto second = random_job_mix(10, 22);
-  engine.submit_all(first);
-  const auto outs1 = engine.drain();
-  engine.submit_all(second);
-  const auto outs2 = engine.drain();
+  engine.submit_batch(first);
+  const auto outs1 = drain_digests(engine);
+  engine.submit_batch(second);
+  const auto outs2 = drain_digests(engine);
   EXPECT_EQ(outs1, host_references(first));
   EXPECT_EQ(outs2, host_references(second));
+}
+
+TEST(Engine, TryDrainReadyIsUnorderedAndDrainBatchSortsTheRest) {
+  // try_drain_ready() hands results out as they retire: a small job that
+  // finished while an earlier large one is still hashing comes out first,
+  // carrying the seq its submit returned. drain_batch() afterwards returns
+  // the remainder in seq order.
+  EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+  cfg.accel.backend = sim::ExecBackend::kInterpreter;
+  BatchHashEngine engine(cfg);
+  const HashJob big{Algo::kSha3_256, std::vector<u8>(256 * 1024, 0x5A)};
+  const u64 big_seq = engine.submit(big);
+  // Once a worker has popped the large job, later jobs cannot share its
+  // dispatch.
+  while (engine.queue_depth() != 0) std::this_thread::yield();
+  const HashJob small{Algo::kSha3_256, {'h', 'i'}};
+  const u64 small_seq = engine.submit(small);
+
+  std::vector<JobResult> ready;
+  while (engine.try_drain_ready(ready) == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].seq, small_seq);
+  EXPECT_EQ(ready[0].digest, host_reference_digest(small));
+  EXPECT_EQ(engine.in_flight(), 1u);  // the large job is still running
+
+  const auto rest = random_job_mix(6, 41);
+  const u64 first = engine.submit_batch(rest);
+  std::vector<JobResult> results;
+  ASSERT_EQ(engine.drain_batch(results), 1 + rest.size());
+  EXPECT_EQ(results[0].seq, big_seq);
+  EXPECT_EQ(results[0].digest, host_reference_digest(big));
+  for (usize i = 0; i < rest.size(); ++i) {
+    EXPECT_EQ(results[1 + i].seq, first + i);
+    EXPECT_EQ(to_hex(results[1 + i].digest),
+              to_hex(host_reference_digest(rest[i])));
+  }
+  EXPECT_EQ(engine.try_drain_ready(ready), 0u);  // nothing left over
 }
 
 // --- edge cases -----------------------------------------------------------------
@@ -171,7 +224,7 @@ TEST(Engine, ZeroJobsDrainIsEmpty) {
   EngineConfig cfg;
   cfg.threads = 2;
   BatchHashEngine engine(cfg);
-  EXPECT_TRUE(engine.drain().empty());
+  EXPECT_TRUE(drain_digests(engine).empty());
   EXPECT_TRUE(run_batch(cfg, {}).empty());
 }
 
@@ -183,9 +236,9 @@ TEST(Engine, ShutdownWhileQueuedCompletesEverything) {
   cfg.threads = 4;
   cfg.accel = {core::Arch::k64Lmul8, 15, 24};
   BatchHashEngine engine(cfg);
-  engine.submit_all(jobs);
+  engine.submit_batch(jobs);
   engine.close();
-  const auto outs = engine.drain();
+  const auto outs = drain_digests(engine);
   ASSERT_EQ(outs.size(), jobs.size());
   EXPECT_EQ(outs, host_references(jobs));
 }
@@ -195,7 +248,7 @@ TEST(Engine, DestructorWithoutDrainJoinsCleanly) {
   EngineConfig cfg;
   cfg.threads = 2;
   BatchHashEngine engine(cfg);
-  engine.submit_all(jobs);
+  engine.submit_batch(jobs);
   // No drain: the destructor must close, finish queued work and join
   // without deadlock or leak (ASan/TSan verify the latter).
 }
@@ -226,12 +279,14 @@ TEST(Engine, MalformedJobsFailIndividually) {
   (void)engine.submit(good);
   (void)engine.submit(wrong_digest);
   (void)engine.submit(keyed_sha3);
-  const auto results = engine.drain_results();
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_FALSE(results[0].ok());
   EXPECT_NE(results[0].error.find("out_len"), std::string::npos);
   EXPECT_TRUE(results[1].ok());
   EXPECT_EQ(results[1].digest, host_reference_digest(good));
+  EXPECT_EQ(results[1].backend, engine.stats().backend);
   EXPECT_FALSE(results[2].ok());
   EXPECT_FALSE(results[3].ok());
   const EngineStats st = engine.stats();
@@ -239,31 +294,11 @@ TEST(Engine, MalformedJobsFailIndividually) {
   EXPECT_EQ(st.completed, 1u);
   EXPECT_EQ(st.failed, 3u);
 
-  // The digest-only drain() still surfaces failures, as an exception.
-  (void)engine.submit(shake_no_len);
-  EXPECT_THROW((void)engine.drain(), Error);
+  // The digest-only run_batch() surfaces failures, as an exception.
+  EXPECT_THROW((void)run_batch({}, std::vector<HashJob>{good, shake_no_len}),
+               Error);
 
   EXPECT_THROW(BatchHashEngine bad({.threads = 0}), Error);
-}
-
-TEST(Engine, ResultWaitsPerJob) {
-  BatchHashEngine engine({});
-  HashJob good;
-  good.algo = Algo::kSha3_256;
-  good.message = {'a', 'b'};
-  HashJob bad;
-  bad.algo = Algo::kShake128;  // missing out_len: immediate per-job failure
-  const u64 s0 = engine.submit(good);
-  const u64 s1 = engine.submit(bad);
-  const JobResult r1 = engine.result(s1);
-  EXPECT_FALSE(r1.ok());
-  const JobResult r0 = engine.result(s0);
-  EXPECT_TRUE(r0.ok());
-  EXPECT_EQ(r0.digest, host_reference_digest(good));
-  EXPECT_EQ(r0.backend, engine.stats().backend);
-  EXPECT_THROW((void)engine.result(99), Error);
-  (void)engine.drain_results();
-  EXPECT_THROW((void)engine.result(s0), Error);  // already collected
 }
 
 // One deliberately invalid job in a 100-job stream must fail alone: the 99
@@ -286,8 +321,9 @@ TEST_P(FailSoftMatrixTest, InvalidJobAmongHundredFailsAlone) {
   cfg.accel = {core::Arch::k64Lmul8, 15, 24};
   cfg.accel.backend = backend;
   BatchHashEngine engine(cfg);
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
   ASSERT_EQ(results.size(), jobs.size());
   for (usize i = 0; i < results.size(); ++i) {
     if (i == kBadIndex) {
@@ -336,8 +372,8 @@ TEST(Engine, BoundedQueueAppliesBackpressure) {
   cfg.max_queue = 2;
   BatchHashEngine engine(cfg);
   const auto jobs = random_job_mix(12, 11);
-  engine.submit_all(jobs);  // blocks as needed; must not deadlock
-  const auto outs = engine.drain();
+  engine.submit_batch(jobs);  // blocks as needed; must not deadlock
+  const auto outs = drain_digests(engine);
   EXPECT_EQ(outs, host_references(jobs));
   EXPECT_LE(engine.stats().queue_high_water, 2u);
 }
@@ -362,8 +398,10 @@ TEST(Engine, StatsAccountForEveryJobAndByte) {
   cfg.threads = 3;
   cfg.accel = {core::Arch::k64Lmul8, 15, 24};
   BatchHashEngine engine(cfg);
-  engine.submit_all(jobs);
-  (void)engine.drain();
+  engine.submit_batch(jobs);
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
+  for (const JobResult& r : results) ASSERT_TRUE(r.ok()) << r.error;
   const EngineStats st = engine.stats();
   EXPECT_EQ(st.submitted, jobs.size());
   EXPECT_EQ(st.completed, jobs.size());
@@ -399,8 +437,9 @@ TEST(Engine, FailureMetricsStayConsistent) {
   cfg.threads = 2;
   cfg.accel = {core::Arch::k64Lmul8, 15, 24};
   BatchHashEngine engine(cfg);
-  engine.submit_all(jobs);
-  (void)engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
 
   EXPECT_EQ(submitted_c.value() - sub0, 20u);
   EXPECT_EQ(completed_c.value() - com0, 19u);

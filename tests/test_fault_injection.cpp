@@ -395,8 +395,9 @@ TEST(FaultInjection, EngineCountsDispatchFallbacks) {
 
   BatchHashEngine engine(cfg);
   const auto jobs = fuzz_jobs(12, 55);
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
   for (usize i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].error;
     EXPECT_EQ(results[i].digest, engine::host_reference_digest(jobs[i]))
@@ -423,8 +424,9 @@ TEST(FaultInjection, EngineCountsConstructionFallbacks) {
   EXPECT_EQ(engine.stats().backend, "interpreter");
   EXPECT_EQ(engine.stats().totals().fallbacks, 4u);  // 2 per shard
   const auto jobs = fuzz_jobs(8, 56);
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
   for (usize i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].error;
     EXPECT_EQ(results[i].digest, engine::host_reference_digest(jobs[i]));
@@ -444,8 +446,9 @@ TEST(FaultInjection, InterpreterEngineFaultFailsOnlyItsDispatchGroup) {
 
   BatchHashEngine engine(cfg);
   const auto jobs = fuzz_jobs(40, 57);
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
   usize failed = 0;
   for (usize i = 0; i < results.size(); ++i) {
     if (!results[i].ok()) {
@@ -567,8 +570,9 @@ TEST_P(EngineFaultMatrixTest, InvariantsHoldUnderRandomFaults) {
 
   const auto jobs = fuzz_jobs(60, plan.seed);
   BatchHashEngine engine(cfg);
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
   ASSERT_EQ(results.size(), jobs.size());
   usize failed = 0;
   for (usize i = 0; i < results.size(); ++i) {
@@ -627,8 +631,9 @@ TEST(FaultForensics, ConstructionDemotionPathNamesEveryRejectedTier) {
 
   BatchHashEngine engine(cfg);
   const auto jobs = fuzz_jobs(6, 91);
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
   const std::vector<std::string> expect_rejected = {"jit", "host-simd",
                                                     "fused", "trace"};
   for (const JobResult& r : results) {
@@ -668,8 +673,9 @@ TEST(FaultForensics, FailedJobCarriesDemotionPathToTheInterpreter) {
     jobs[i].algo = Algo::kSha3_256;
     jobs[i].message.assign(32 + i, static_cast<u8>(i));
   }
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
   const std::vector<std::string> chain = {"jit", "host-simd", "fused",
                                           "trace", "interpreter"};
   for (const JobResult& r : results) {
@@ -693,8 +699,9 @@ TEST(FaultForensics, CleanDispatchCarriesNoDemotionPath) {
 
   BatchHashEngine engine(cfg);
   const auto jobs = fuzz_jobs(6, 93);
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
   for (const JobResult& r : results) {
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_TRUE(r.demotion_path.empty());

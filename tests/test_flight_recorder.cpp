@@ -232,8 +232,9 @@ TEST(Postmortem, DumpNowRoundTripsThroughParse) {
     jobs[i].algo = engine::Algo::kSha3_256;
     jobs[i].message.assign(64, static_cast<u8>(i));
   }
-  engine.submit_all(jobs);
-  const auto results = engine.drain_results();
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
   for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.error;
 
   const std::string path = obs::pm::dump_now("unit_test");

@@ -397,8 +397,9 @@ TEST(HostSimd, EngineReportsHostSimdBackendAndIsa) {
     jobs[i].algo = engine::Algo::kSha3_256;
     jobs[i].message = msgs[i];
   }
-  eng.submit_all(jobs);
-  const auto results = eng.drain_results();
+  eng.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  eng.drain_batch(results);
   for (usize i = 0; i < msgs.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].error;
     EXPECT_EQ(results[i].digest,

@@ -3,11 +3,13 @@
 // oversized-frame rejection), streaming XOF sessions, the backpressure
 // governor, and — on Linux — the full HashServer event loop over real
 // sockets: hash round-trips verified against the host golden model (on
-// the interpreter and on kvx-hashd's host-simd tier), per-connection
-// session lifecycle, the HTTP admin plane and backpressure engage/release
-// against a tiny engine queue.
+// the interpreter and on kvx-hashd's host-simd tier), replies that do not
+// wait behind a slower job, per-connection session lifecycle, the HTTP
+// admin plane and backpressure engage/release against a tiny engine queue.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -437,6 +439,26 @@ class TestClient {
     return resp;
   }
 
+  /// Blocks for `n` responses and keys them by request id: HASH replies
+  /// come back in engine retirement order, not request order.
+  std::map<u64, Response> recv_responses(usize n) {
+    std::map<u64, Response> by_id;
+    for (usize i = 0; i < n; ++i) {
+      auto resp = recv_response();
+      if (!resp.has_value()) break;
+      const u64 id = resp->id;
+      EXPECT_TRUE(by_id.emplace(id, std::move(*resp)).second)
+          << "duplicate reply for id " << id;
+    }
+    return by_id;
+  }
+
+  /// True when reply bytes are waiting on the socket (non-blocking peek).
+  bool reply_waiting() {
+    u8 b = 0;
+    return ::recv(fd_, &b, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
+  }
+
   /// True when the server has closed the connection (EOF on read).
   bool server_closed() {
     u8 buf[64];
@@ -523,15 +545,65 @@ TEST_F(ServerTest, HashRoundTripsVerifyAgainstGoldenModel) {
     req.message = job.message;
     client.send_request(req);
   }
-  // Responses arrive in engine retirement order == submission order here
-  // (single connection, ordered drains).
+  // Responses arrive in engine retirement order; match them by id.
+  const std::map<u64, Response> replies = client.recv_responses(jobs.size());
+  ASSERT_EQ(replies.size(), jobs.size());
   for (usize i = 0; i < jobs.size(); ++i) {
-    const auto resp = client.recv_response();
-    ASSERT_TRUE(resp.has_value());
-    ASSERT_TRUE(resp->ok()) << resp->error_text();
-    EXPECT_EQ(resp->id, 100 + i);
-    EXPECT_EQ(resp->body, engine::host_reference_digest(jobs[i]));
+    const auto it = replies.find(100 + i);
+    ASSERT_NE(it, replies.end()) << "no reply for id " << 100 + i;
+    ASSERT_TRUE(it->second.ok()) << it->second.error_text();
+    EXPECT_EQ(it->second.body, engine::host_reference_digest(jobs[i]));
   }
+}
+
+TEST_F(ServerTest, SmallReplyDoesNotWaitBehindAnotherConnectionsLargeJob) {
+  // Connection A's 256 KiB job hashes for a long while on the interpreter;
+  // connection B's 32 B job, submitted after it, must be answered while
+  // A's reply is still outstanding.
+  ServerConfig cfg = small_config();
+  cfg.engine.accel.backend = sim::ExecBackend::kInterpreter;
+  start(cfg);
+  TestClient a;
+  a.connect_to(server_->port());
+  TestClient b;
+  b.connect_to(server_->port());
+
+  SplitMix64 rng(17);
+  const auto hash_request = [&rng](u64 id, usize len) {
+    Request req;
+    req.id = id;
+    req.op = Opcode::kHash;
+    req.algo = engine::Algo::kSha3_256;
+    req.message.resize(len);
+    for (u8& byte : req.message) byte = static_cast<u8>(rng.next());
+    return req;
+  };
+  const Request large = hash_request(1, 256 * 1024);
+  const Request small = hash_request(2, 32);
+  a.send_request(large);
+  // B sends only once the engine holds A's job.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->engine().in_flight() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  b.send_request(small);
+
+  const auto small_resp = b.recv_response();
+  ASSERT_TRUE(small_resp.has_value());
+  ASSERT_TRUE(small_resp->ok()) << small_resp->error_text();
+  EXPECT_EQ(small_resp->id, 2u);
+  EXPECT_EQ(small_resp->body,
+            keccak::hash(keccak::Sha3Function::kSha3_256, small.message, 32));
+  EXPECT_FALSE(a.reply_waiting()) << "A's reply arrived before B's";
+
+  const auto large_resp = a.recv_response();
+  ASSERT_TRUE(large_resp.has_value());
+  ASSERT_TRUE(large_resp->ok()) << large_resp->error_text();
+  EXPECT_EQ(large_resp->id, 1u);
+  EXPECT_EQ(large_resp->body,
+            keccak::hash(keccak::Sha3Function::kSha3_256, large.message, 32));
 }
 
 TEST_F(ServerTest, HostSimdTierServesEveryAlgorithmAndSessions) {
@@ -575,12 +647,13 @@ TEST_F(ServerTest, HostSimdTierServesEveryAlgorithmAndSessions) {
     req.message = jobs[i].message;
     client.send_request(req);
   }
+  const std::map<u64, Response> replies = client.recv_responses(jobs.size());
+  ASSERT_EQ(replies.size(), jobs.size());
   for (usize i = 0; i < jobs.size(); ++i) {
-    const auto resp = client.recv_response();
-    ASSERT_TRUE(resp.has_value());
-    ASSERT_TRUE(resp->ok()) << resp->error_text();
-    EXPECT_EQ(resp->id, i);
-    EXPECT_EQ(resp->body, engine::host_reference_digest(jobs[i]))
+    const auto it = replies.find(i);
+    ASSERT_NE(it, replies.end()) << "no reply for id " << i;
+    ASSERT_TRUE(it->second.ok()) << it->second.error_text();
+    EXPECT_EQ(it->second.body, engine::host_reference_digest(jobs[i]))
         << engine::algo_name(jobs[i].algo) << " len "
         << jobs[i].message.size();
   }

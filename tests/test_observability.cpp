@@ -346,8 +346,10 @@ TEST(EngineObservability, StepCyclesTileSimCyclesExactly) {
   cfg.threads = 2;
   cfg.accel = {core::Arch::k64Lmul8, 15, 24};
   BatchHashEngine eng(cfg);
-  eng.submit_all(jobs);
-  (void)eng.drain();
+  eng.submit_batch(jobs);
+  std::vector<JobResult> results;
+  eng.drain_batch(results);
+  for (const JobResult& r : results) ASSERT_TRUE(r.ok()) << r.error;
 
   const EngineStats st = eng.stats();
   const ShardStats t = st.totals();
@@ -374,8 +376,10 @@ TEST(EngineObservability, LatencyQuantilesOrderedAndThroughputDerived) {
   cfg.threads = 2;
   cfg.accel = {core::Arch::k64Lmul8, 15, 24};
   BatchHashEngine eng(cfg);
-  eng.submit_all(jobs);
-  (void)eng.drain();
+  eng.submit_batch(jobs);
+  std::vector<JobResult> results;
+  eng.drain_batch(results);
+  for (const JobResult& r : results) ASSERT_TRUE(r.ok()) << r.error;
 
   const EngineStats st = eng.stats();
   EXPECT_EQ(st.latency.count, jobs.size());

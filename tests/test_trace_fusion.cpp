@@ -289,8 +289,10 @@ TEST(TraceFusion, EngineStatsReportFusedBackendAndLatency) {
   cfg.accel = {Arch::k64Lmul8, 15, 24};
   cfg.accel.backend = ExecBackend::kFusedTrace;
   engine::BatchHashEngine eng(cfg);
-  eng.submit_all(jobs);
-  (void)eng.drain();
+  eng.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  eng.drain_batch(results);
+  for (const engine::JobResult& r : results) ASSERT_TRUE(r.ok()) << r.error;
   const engine::EngineStats st = eng.stats();
   EXPECT_EQ(st.backend, "fused");
   EXPECT_GT(st.fusion_coverage, 0.5);

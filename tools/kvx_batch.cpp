@@ -265,8 +265,9 @@ int main(int argc, char** argv) {
   bool any_failed = false;
   try {
     BatchHashEngine engine(cfg);
-    engine.submit_all(jobs);
-    const auto results = engine.drain_results();
+    engine.submit_batch(jobs);
+    std::vector<JobResult> results;
+    engine.drain_batch(results);
     for (usize i = 0; i < jobs.size(); ++i) {
       if (!results[i].ok()) {
         std::fprintf(stderr, "kvx-batch: job '%s' FAILED: %s\n",

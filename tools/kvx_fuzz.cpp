@@ -210,9 +210,10 @@ int main(int argc, char** argv) {
         u64 fallbacks = 0;
         try {
           BatchHashEngine engine(cfg);
-          engine.submit_all(jobs);
+          engine.submit_batch(jobs);
           engine.close();
-          const std::vector<JobResult> results = engine.drain_results();
+          std::vector<JobResult> results;
+          engine.drain_batch(results);
           const EngineStats st = engine.stats();
 
           for (usize i = 0; i < results.size(); ++i) {
