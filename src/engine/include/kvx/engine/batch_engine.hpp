@@ -36,6 +36,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
@@ -156,11 +157,29 @@ class BatchHashEngine {
   [[nodiscard]] EngineStats stats() const;
 
  private:
+  /// The accelerator state stats() reports, copied from a shard's
+  /// accelerator by its own worker (and by the constructor before any
+  /// worker starts): stats() must never read an accelerator mid-dispatch.
+  struct AccelView {
+    sim::ExecBackend active = sim::ExecBackend::kInterpreter;
+    sim::ExecBackend last = sim::ExecBackend::kInterpreter;
+    double fusion_coverage = 0.0;
+    double host_simd_coverage = 0.0;
+    u64 jit_code_bytes = 0;
+    std::optional<sim::HostSimdIsa> jit_isa;
+
+    static AccelView of(const core::ParallelSha3& a) noexcept {
+      return {a.active_backend(), a.last_backend(), a.fusion_coverage(),
+              a.host_simd_coverage(), a.jit_code_bytes(), a.jit_isa()};
+    }
+  };
+
   /// Cache-line-aligned so one shard's stats churn never false-shares with
   /// its neighbour (shards are also separately heap-allocated).
   struct alignas(64) Shard {
     std::unique_ptr<core::ParallelSha3> accel;
     ShardStats stats;        ///< guarded by state_mutex_
+    AccelView accel_view;    ///< guarded by state_mutex_; set on retire
     /// Cumulative accel->backend_fallbacks() already accounted for, so
     /// dispatch-time demotions are attributed per batch by diffing the
     /// accelerator's monotone counter (worker thread only).

@@ -18,7 +18,6 @@
 #include "kvx/obs/metrics.hpp"
 #include "kvx/obs/postmortem.hpp"
 #include "kvx/obs/process_metrics.hpp"
-#include "kvx/obs/trace_event.hpp"
 #include "kvx/sim/host_simd.hpp"
 #include "kvx/sim/jit/jit_trace.hpp"
 
@@ -200,6 +199,7 @@ BatchHashEngine::BatchHashEngine(const EngineConfig& config)
     if (fb != 0) EngineMetrics::get().fallbacks.inc(fb);
     shard->stats.fallbacks += fb;
     shard->fallbacks_seen = fb;
+    shard->accel_view = AccelView::of(*shard->accel);
     construction_fallbacks += fb;
     shards_.push_back(std::move(shard));
   }
@@ -368,11 +368,6 @@ u64 BatchHashEngine::submit(HashJob job) {
   EngineMetrics::get().jobs_submitted.inc();
   obs::FlightRecorder::global().record(obs::FlightEventType::kJobSubmit, 0,
                                        seq, 1);
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) {
-    sink.instant("engine", "job_submit",
-                 strfmt("{\"seq\":%llu}", static_cast<unsigned long long>(seq)));
-  }
   if (!invalid.empty()) {
     // Malformed: retire right here as a per-job failure (full accounting,
     // no queue round-trip) so batch-mates are untouched.
@@ -438,12 +433,6 @@ u64 BatchHashEngine::submit_batch(std::span<const HashJob> jobs) {
   if (valid != jobs.size()) {
     notify_retire();
     obs::pm::auto_dump("job_failure");
-  }
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) {
-    sink.instant("engine", "batch_submit",
-                 strfmt("{\"first_seq\":%llu,\"jobs\":%zu}",
-                        static_cast<unsigned long long>(first), jobs.size()));
   }
   if (valid == 0) return first;
   std::vector<QueuedJob> items;
@@ -518,6 +507,7 @@ EngineStats BatchHashEngine::stats() const {
   std::vector<u64> lat;
   u64 observed = 0;
   u64 max_ns = 0;
+  AccelView view;
   {
     std::lock_guard lock(state_mutex_);
     st.submitted = submitted_;
@@ -525,24 +515,23 @@ EngineStats BatchHashEngine::stats() const {
     st.failed = failed_;
     st.shards.reserve(shards_.size());
     for (const auto& shard : shards_) st.shards.push_back(shard->stats);
+    // All shards share one program + config, so shard 0 is representative.
+    if (!shards_.empty()) view = shards_.front()->accel_view;
     lat = latency_ns_;
     observed = latency_observed_;
     max_ns = latency_max_ns_;
   }
   if (!shards_.empty()) {
-    // All shards share one program + config, so shard 0 is representative.
-    const core::ParallelSha3& accel = *shards_.front()->accel;
-    st.backend = sim::backend_name(accel.active_backend());
-    st.effective_backend = sim::backend_name(accel.last_backend());
-    st.fusion_coverage = accel.fusion_coverage();
-    st.host_simd_coverage = accel.host_simd_coverage();
-    st.jit_code_bytes = accel.jit_code_bytes();
-    if (accel.last_backend() == sim::ExecBackend::kJit &&
-        accel.jit_isa().has_value()) {
-      st.host_simd_isa = sim::host_simd_isa_name(*accel.jit_isa());
-    } else if (accel.last_backend() == sim::ExecBackend::kHostSimd) {
+    st.backend = sim::backend_name(view.active);
+    st.effective_backend = sim::backend_name(view.last);
+    st.fusion_coverage = view.fusion_coverage;
+    st.host_simd_coverage = view.host_simd_coverage;
+    st.jit_code_bytes = view.jit_code_bytes;
+    if (view.last == sim::ExecBackend::kJit && view.jit_isa.has_value()) {
+      st.host_simd_isa = sim::host_simd_isa_name(*view.jit_isa);
+    } else if (view.last == sim::ExecBackend::kHostSimd) {
       st.host_simd_isa = sim::host_simd_isa_name(
-          sim::host_simd_dispatch_isa(accel.config().sn()));
+          sim::host_simd_dispatch_isa(config_.accel.sn()));
     }
   }
   st.backend_compile_ns = backend_compile_ns_;
@@ -618,8 +607,6 @@ void BatchHashEngine::process_batch(Shard& shard,
   const core::BatchStats before = accel.stats();
   obs::FlightRecorder& fr = obs::FlightRecorder::global();
   fr.record(obs::FlightEventType::kDispatch, 0, batch.size(), shard.index);
-  obs::TraceSpan dispatch_span(obs::TraceEventSink::global(), "engine",
-                               "dispatch");
 
   // Partition the run into dispatch groups (order-preserving); each group
   // goes to the accelerator as one batch so equal-length jobs share lanes.
@@ -722,19 +709,6 @@ void BatchHashEngine::process_batch(Shard& shard,
   m.step_absorb.inc(steps.absorb);
   m.step_other.inc(steps.other);
 
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) {
-    dispatch_span.set_args(
-        strfmt("{\"jobs\":%zu,\"failed\":%zu,\"bytes\":%llu,"
-               "\"sim_cycles\":%llu}",
-               batch.size(), failed_jobs,
-               static_cast<unsigned long long>(bytes),
-               static_cast<unsigned long long>(cycles)));
-    sink.instant("engine", "job_retire",
-                 strfmt("{\"jobs\":%zu,\"first_seq\":%llu}", batch.size(),
-                        static_cast<unsigned long long>(batch.front().seq)));
-  }
-
   // One retire event covers the whole batch; failed jobs additionally get
   // their own kJobFail event so kvx-doctor can anchor a timeline window on
   // each failure individually.
@@ -743,8 +717,10 @@ void BatchHashEngine::process_batch(Shard& shard,
       static_cast<u16>(std::min<usize>(failed_jobs, 0xFFFF)),
       batch.front().seq, batch.size());
   const u64 retire_ns = steady_now_ns();
+  const AccelView view = AccelView::of(accel);
   {
     std::lock_guard lock(state_mutex_);
+    shard.accel_view = view;
     // Reserve first (growing geometrically): past this point nothing in
     // the loop allocates or throws, so the batch retires whole or not at
     // all, and clearing it afterwards keeps the fail_batch backstop from

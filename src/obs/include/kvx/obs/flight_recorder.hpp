@@ -27,9 +27,14 @@
 // The crash handler (kvx/obs/postmortem.hpp) reads rings via ring_at() with
 // only async-signal-safe operations; record() itself must NOT be called
 // from a signal context (it may allocate on a thread's first event).
+//
+// The recorder is also the only timeline source: flight_trace_json() turns
+// a merged snapshot into Chrome/Perfetto trace-event JSON (what
+// `kvx-batch --trace-out` writes), pairing events into spans.
 #pragma once
 
 #include <atomic>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -159,5 +164,21 @@ class FlightRecorder {
   std::atomic<u64> dropped_{0};
   std::atomic<bool> enabled_{true};
 };
+
+/// Chrome/Perfetto trace-event JSON ({"traceEvents":[...],
+/// "displayTimeUnit":"ms"}) of a snapshot_merged() timeline. tid = ring
+/// index; ts = µs since the earliest instant in the snapshot. Spans ('X'):
+///  * "dispatch" — a kDispatch closed by the next kJobRetire on its ring
+///    (args.jobs = kDispatch.a0). A dispatch whose retire is missing (the
+///    fail_batch backstop, a wrapped ring) becomes an instant, never a span
+///    with a guessed duration;
+///  * kTraceCompile — [ns − a0, ns], named by artifact tier: trace_compile,
+///    trace_fuse, host_simd_lower, jit_emit.
+/// Every other event is an instant ('i') named by flight_event_name(). A
+/// ring with written > stored adds a "kvx_dropped_events" instant carrying
+/// the overwritten count, so a wrapped ring is never silently truncated.
+[[nodiscard]] std::string flight_trace_json(
+    const std::vector<FlightEvent>& events,
+    const std::vector<FlightRecorder::RingInfo>& rings);
 
 }  // namespace kvx::obs

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <utility>
 
 namespace kvx::obs {
 
@@ -12,6 +14,28 @@ u64 steady_now_ns() noexcept {
                               std::chrono::steady_clock::now().time_since_epoch())
                               .count());
 }
+
+/// Span names of kTraceCompile by artifact tier (the event's code field).
+const char* compile_span_name(u16 tier) noexcept {
+  switch (tier) {
+    case 0: return "trace_compile";
+    case 1: return "trace_fuse";
+    case 2: return "host_simd_lower";
+    case 3: return "jit_emit";
+    default: return "compile";
+  }
+}
+
+/// Nanoseconds as the microsecond decimal trace-event timestamps use.
+std::string us(u64 ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  return buf;
+}
+
+std::string num(u64 v) { return std::to_string(v); }
 
 }  // namespace
 
@@ -177,6 +201,88 @@ void FlightRecorder::clear() noexcept {
   }
   dropped_.store(0, std::memory_order_relaxed);
   seq_.store(1, std::memory_order_release);
+}
+
+std::string flight_trace_json(
+    const std::vector<FlightEvent>& events,
+    const std::vector<FlightRecorder::RingInfo>& rings) {
+  // A compile span starts a0 ns before its event — possibly before every
+  // other event — so the origin is the earliest span start or event.
+  u64 origin = ~u64{0};
+  for (const FlightEvent& e : events) {
+    const u64 back =
+        e.type() == FlightEventType::kTraceCompile ? std::min(e.a0, e.ns) : 0;
+    origin = std::min(origin, e.ns - back);
+  }
+  std::string out = "{\"traceEvents\":[";
+  const auto emit = [&out](char ph, const char* cat, std::string_view name,
+                           u32 tid, u64 ns, const std::string& rest) {
+    if (out.back() != '[') out += ',';
+    out += "{\"ph\":\"";
+    out += ph;
+    out += "\",\"cat\":\"";
+    out += cat;
+    out += "\",\"name\":\"";
+    out += name;
+    out += "\",\"pid\":1,\"tid\":" + num(tid) + ",\"ts\":" + us(ns) + rest +
+           '}';
+  };
+  const auto instant = [&](const FlightEvent& e) {
+    emit('i', "flight", flight_event_name(e.type()), e.ring, e.ns - origin,
+         ",\"args\":{\"seq\":" + num(e.seq) + ",\"code\":" + num(e.code) +
+             ",\"a0\":" + num(e.a0) + ",\"a1\":" + num(e.a1) + '}');
+  };
+  // The kDispatch still waiting for its kJobRetire, per ring.
+  std::vector<const FlightEvent*> open(FlightRecorder::kMaxRings, nullptr);
+  for (const FlightEvent& e : events) {
+    if (e.ring >= open.size()) {
+      instant(e);
+      continue;
+    }
+    const FlightEvent*& pending = open[e.ring];
+    switch (e.type()) {
+      case FlightEventType::kDispatch:
+        if (pending != nullptr) instant(*pending);  // its retire was lost
+        pending = &e;
+        break;
+      case FlightEventType::kJobRetire: {
+        const FlightEvent* d = std::exchange(pending, nullptr);
+        if (d == nullptr || d->a0 != e.a1 || d->ns > e.ns) {
+          if (d != nullptr) instant(*d);
+          instant(e);
+          break;
+        }
+        emit('X', "engine", "dispatch", e.ring, d->ns - origin,
+             ",\"dur\":" + us(e.ns - d->ns) + ",\"args\":{\"jobs\":" +
+                 num(d->a0) + ",\"shard\":" + num(d->a1) +
+                 ",\"failed\":" + num(e.code) + ",\"seq\":" + num(d->seq) +
+                 ",\"first_seq\":" + num(e.a0) + '}');
+        break;
+      }
+      case FlightEventType::kTraceCompile: {
+        const u64 dur = std::min(e.a0, e.ns);
+        emit('X', "cache", compile_span_name(e.code), e.ring,
+             e.ns - dur - origin,
+             ",\"dur\":" + us(dur) + ",\"args\":{\"seq\":" + num(e.seq) +
+                 '}');
+        break;
+      }
+      default:
+        instant(e);
+        break;
+    }
+  }
+  for (const FlightEvent* d : open) {
+    if (d != nullptr) instant(*d);
+  }
+  for (const FlightRecorder::RingInfo& r : rings) {
+    if (r.written > r.stored) {
+      emit('i', "obs", "kvx_dropped_events", r.index, 0,
+           ",\"args\":{\"dropped\":" + num(r.written - r.stored) + '}');
+    }
+  }
+  out += "],\"displayTimeUnit\":\"ms\"}";
+  return out;
 }
 
 }  // namespace kvx::obs

@@ -415,6 +415,39 @@ TEST(Engine, StatsAccountForEveryJobAndByte) {
   EXPECT_GE(st.queue_high_water, 1u);
 }
 
+TEST(Engine, StatsIsRaceFreeWhileWorkersDispatch) {
+  // Regression: stats() read shard 0's accelerator (last backend, coverage,
+  // jit ISA and code bytes) without a lock while its worker dispatched —
+  // a data race under TSan, hit by every /healthz scrape under load. It
+  // now reads the copy each worker publishes on the retire path.
+  const auto jobs = random_job_mix(300, 21);
+  EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+  cfg.accel.backend = sim::ExecBackend::kFusedTrace;
+  BatchHashEngine engine(cfg);
+  std::atomic<bool> done{false};
+  std::atomic<u64> polls{0};
+  std::thread poller([&] {
+    while (!done.load()) {
+      const EngineStats st = engine.stats();
+      EXPECT_EQ(st.backend, "fused");
+      EXPECT_EQ(st.effective_backend, "fused");
+      EXPECT_GT(st.fusion_coverage, 0.0);
+      EXPECT_LE(st.completed + st.failed, st.submitted);
+      polls.fetch_add(1);
+    }
+  });
+  engine.submit_batch(jobs);
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
+  done.store(true);
+  poller.join();
+  for (const JobResult& r : results) ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_GT(polls.load(), 0u);
+  EXPECT_EQ(engine.stats().completed, jobs.size());
+}
+
 TEST(Engine, FailureMetricsStayConsistent) {
   // Regression (PR 5): failed jobs used to bump the internal completed
   // count without ever touching kvx_engine_jobs_completed_total, the

@@ -12,6 +12,9 @@
 //  * dump_now() -> parse_dump() round-trip with a live engine: reason,
 //    build info, events, metrics and the per-shard engine mirror all
 //    survive the binary format;
+//  * the trace-event export (flight_trace_json) — compile and dispatch
+//    spans rebuilt from a live fused engine, ring-wrap drop reporting, and
+//    no span for a dispatch whose retire was lost;
 //  * histogram exemplars — the bucket max carries its flight sequence;
 //  * death tests: SIGABRT (and SIGSEGV where no sanitizer intercepts it)
 //    leave a parseable crash dump with the right signal recorded.
@@ -21,6 +24,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +37,7 @@
 #include "kvx/obs/flight_recorder.hpp"
 #include "kvx/obs/metrics.hpp"
 #include "kvx/obs/postmortem.hpp"
+#include "kvx/sim/compiled_trace.hpp"
 
 namespace kvx {
 namespace {
@@ -189,6 +194,206 @@ TEST(FlightRecorder, RingWrapKeepsNewestAndCountsWritten) {
   EXPECT_EQ(max_i, kOverfill - 1);
   EXPECT_EQ(min_i, kOverfill - FlightRecorder::kRingCapacity);
   EXPECT_EQ(last_seq.load() - first_seq.load(), kOverfill - 1);
+}
+
+// ---------------------------------------------------------------------------
+// Trace-event export
+
+/// One object of a flight_trace_json() document. The exporter writes flat
+/// objects whose only nested object is "args", and no key appears both at
+/// the top level and in args, so fields are looked up by key.
+struct TraceObj {
+  std::string text;
+
+  [[nodiscard]] std::string str(const char* key) const {
+    const std::string k = std::string("\"") + key + "\":\"";
+    const usize at = text.find(k);
+    if (at == std::string::npos) return {};
+    const usize from = at + k.size();
+    return text.substr(from, text.find('"', from) - from);
+  }
+  [[nodiscard]] double num(const char* key) const {
+    const std::string k = std::string("\"") + key + "\":";
+    const usize at = text.find(k);
+    return at == std::string::npos ? NAN
+                                   : std::strtod(text.c_str() + at + k.size(),
+                                                 nullptr);
+  }
+};
+
+std::vector<TraceObj> trace_objects(const std::string& json) {
+  std::vector<TraceObj> out;
+  usize at = json.find("{\"ph\":");
+  while (at != std::string::npos) {
+    int depth = 0;
+    usize end = at;
+    do {
+      if (json[end] == '{') ++depth;
+      if (json[end] == '}') --depth;
+      ++end;
+    } while (depth != 0 && end < json.size());
+    out.push_back({json.substr(at, end - at)});
+    at = json.find("{\"ph\":", end);
+  }
+  return out;
+}
+
+std::string export_now() {
+  std::vector<FlightRecorder::RingInfo> rings;
+  const auto events = FlightRecorder::global().snapshot_merged(&rings);
+  return obs::flight_trace_json(events, rings);
+}
+
+TEST(FlightTrace, FusedEngineExportHasCompileAndDispatchSpans) {
+  // An empty cache makes engine construction compile and fuse for real.
+  sim::TraceCache::global().clear();
+  engine::EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+  cfg.accel.backend = sim::ExecBackend::kFusedTrace;
+  u64 first_job = 0;
+  {
+    engine::BatchHashEngine engine(cfg);
+    std::vector<engine::HashJob> jobs(24);
+    for (usize i = 0; i < jobs.size(); ++i) {
+      jobs[i].algo = engine::Algo::kSha3_256;
+      jobs[i].message.assign(40 + i, static_cast<u8>(i));
+    }
+    first_job = engine.submit_batch(jobs);
+    std::vector<engine::JobResult> results;
+    engine.drain_batch(results);
+    for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.error;
+  }
+
+  std::vector<FlightRecorder::RingInfo> rings;
+  const std::vector<FlightEvent> events =
+      FlightRecorder::global().snapshot_merged(&rings);
+  const std::string json = obs::flight_trace_json(events, rings);
+  ASSERT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+  ASSERT_NE(json.find("],\"displayTimeUnit\":\"ms\"}"), std::string::npos);
+
+  // The submitting thread's ring, found through this run's kJobSubmit.
+  u32 submit_ring = FlightRecorder::kMaxRings;
+  for (const FlightEvent& e : events) {
+    if (e.type() == FlightEventType::kJobSubmit && e.a0 == first_job &&
+        e.a1 == 24) {
+      submit_ring = e.ring;
+    }
+  }
+  ASSERT_LT(submit_ring, FlightRecorder::kMaxRings);
+
+  bool compile = false;
+  bool fuse = false;
+  bool submit = false;
+  usize worker_dispatches = 0;
+  for (const TraceObj& o : trace_objects(json)) {
+    EXPECT_GE(o.num("ts"), 0.0) << o.text;
+    const std::string ph = o.str("ph");
+    const std::string name = o.str("name");
+    if (ph == "X") {
+      EXPECT_GE(o.num("dur"), 0.0) << o.text;
+      compile |= name == "trace_compile";
+      fuse |= name == "trace_fuse";
+    }
+    if (ph == "i" && name == "job_submit") submit = true;
+    if (ph != "X" || name != "dispatch") continue;
+    // args.seq names the kDispatch the span starts at; its payload and
+    // ring must be what the span reports.
+    const u64 seq = static_cast<u64>(o.num("seq"));
+    for (const FlightEvent& e : events) {
+      if (e.seq != seq) continue;
+      EXPECT_EQ(e.type(), FlightEventType::kDispatch);
+      EXPECT_EQ(static_cast<double>(e.a0), o.num("jobs")) << o.text;
+      EXPECT_EQ(static_cast<double>(e.ring), o.num("tid")) << o.text;
+      if (e.ring != submit_ring) ++worker_dispatches;
+    }
+  }
+  EXPECT_TRUE(compile);
+  EXPECT_TRUE(fuse);
+  EXPECT_TRUE(submit);
+  EXPECT_GE(worker_dispatches, 1u);
+}
+
+TEST(FlightTrace, OverfilledRingReportsDroppedEvents) {
+  constexpr u64 kOverfill = FlightRecorder::kRingCapacity + 10;
+  std::atomic<u32> ring{0};
+  std::thread writer([&] {
+    for (u64 i = 0; i < kOverfill; ++i) {
+      FlightRecorder::global().record(FlightEventType::kTraceCacheHit, 998,
+                                      kTag, i);
+    }
+    for (const FlightEvent& e : FlightRecorder::global().snapshot_merged()) {
+      if (e.code == 998 && e.a1 == kOverfill - 1) ring.store(e.ring);
+    }
+  });
+  writer.join();
+
+  bool reported = false;
+  for (const TraceObj& o : trace_objects(export_now())) {
+    if (o.str("name") == "kvx_dropped_events" &&
+        o.num("tid") == static_cast<double>(ring.load())) {
+      reported = true;
+      EXPECT_GE(o.num("dropped"), 10.0) << o.text;
+    }
+  }
+  EXPECT_TRUE(reported);
+}
+
+/// A synthetic event on ring 2 at 1000·seq ns.
+FlightEvent synthetic(u64 seq, FlightEventType t, u64 a0, u64 a1,
+                      u16 code = 0) {
+  FlightEvent e;
+  e.seq = seq;
+  e.ns = 1000 * seq;
+  e.type_raw = static_cast<u16>(t);
+  e.code = code;
+  e.ring = 2;
+  e.a0 = a0;
+  e.a1 = a1;
+  return e;
+}
+
+TEST(FlightTrace, CompileSpanEndsAtItsEventAndStartsTheClock) {
+  // The compile event is the first in the snapshot but its span starts
+  // a0 ns earlier: that start is ts 0, and later events count from it.
+  const std::string json = obs::flight_trace_json(
+      {synthetic(5, FlightEventType::kTraceCompile, 2000, 0, /*code=*/1),
+       synthetic(6, FlightEventType::kJobSubmit, 0, 1)},
+      {});
+  const std::vector<TraceObj> objs = trace_objects(json);
+  ASSERT_EQ(objs.size(), 2u) << json;
+  EXPECT_EQ(objs[0].str("ph"), "X");
+  EXPECT_EQ(objs[0].str("name"), "trace_fuse");
+  EXPECT_EQ(objs[0].num("ts"), 0.0);
+  EXPECT_EQ(objs[0].num("dur"), 2.0);
+  EXPECT_EQ(objs[1].str("name"), "job_submit");
+  EXPECT_EQ(objs[1].num("ts"), 3.0);
+}
+
+TEST(FlightTrace, DispatchWithoutRetireIsNoSpan) {
+  // A lone dispatch (its retire lost, as after the fail_batch backstop).
+  const std::string lone = obs::flight_trace_json(
+      {synthetic(1, FlightEventType::kDispatch, 4, 0)}, {});
+  EXPECT_EQ(lone.find("\"ph\":\"X\""), std::string::npos) << lone;
+  EXPECT_NE(lone.find("\"name\":\"dispatch\""), std::string::npos) << lone;
+
+  // A dispatch superseded by the next one on its ring: only the second,
+  // which its retire closes, becomes a span.
+  const std::string json = obs::flight_trace_json(
+      {synthetic(1, FlightEventType::kDispatch, 4, 0),
+       synthetic(2, FlightEventType::kJobFail, 9, 0),
+       synthetic(3, FlightEventType::kDispatch, 5, 0),
+       synthetic(4, FlightEventType::kJobRetire, 9, 5)},
+      {});
+  usize spans = 0;
+  for (const TraceObj& o : trace_objects(json)) {
+    if (o.str("ph") != "X") continue;
+    ++spans;
+    EXPECT_EQ(o.num("seq"), 3.0) << o.text;
+    EXPECT_EQ(o.num("ts"), 2.0) << o.text;  // µs after the first event
+    EXPECT_EQ(o.num("dur"), 1.0) << o.text;
+  }
+  EXPECT_EQ(spans, 1u);
 }
 
 TEST(Histogram, ExemplarTracksBucketMaxFlightSeq) {

@@ -25,8 +25,9 @@
 //                        p50/p99/p99.9/max job latency
 //     --metrics-json F   write the metrics-registry JSON snapshot to F
 //                        ("-" = stdout); see docs/observability.md
-//     --trace-out F      record Chrome trace_event JSON to F (open in
-//                        Perfetto or chrome://tracing)
+//     --trace-out F      write the flight recorder's timeline as Chrome
+//                        trace-event JSON to F at exit (open in Perfetto
+//                        or chrome://tracing)
 //
 // Files are hashed in submission order; "-" reads stdin. Output format
 // matches sha3sum: "<hex digest>  <name>". Jobs fail individually: a failed
@@ -48,9 +49,9 @@
 #include "kvx/common/hex.hpp"
 #include "kvx/common/rng.hpp"
 #include "kvx/engine/batch_engine.hpp"
+#include "kvx/obs/flight_recorder.hpp"
 #include "kvx/obs/metrics.hpp"
 #include "kvx/sim/fault_injector.hpp"
-#include "kvx/obs/trace_event.hpp"
 
 namespace {
 
@@ -259,9 +260,6 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
   }
-  // Tracing must be live before the engine is constructed so that the
-  // backend compile/fuse spans of the warm-up compilation are captured.
-  if (!trace_out_path.empty()) obs::TraceEventSink::global().enable();
   bool any_failed = false;
   try {
     BatchHashEngine engine(cfg);
@@ -376,13 +374,23 @@ int main(int argc, char** argv) {
         out << json << '\n';
       }
     }
-    if (!trace_out_path.empty()) {
-      obs::TraceEventSink::global().disable();
-      obs::TraceEventSink::global().write_json(trace_out_path);
-    }
   } catch (const Error& e) {
     std::fprintf(stderr, "kvx-batch: %s\n", e.what());
     return kExitRuntime;
+  }
+  if (!trace_out_path.empty()) {
+    // The engine is gone, so every worker has retired its last dispatch
+    // and the snapshot is quiescent. Each ring keeps its thread's newest
+    // 1024 events, so a long run shows its tail.
+    std::vector<obs::FlightRecorder::RingInfo> rings;
+    const auto events = obs::FlightRecorder::global().snapshot_merged(&rings);
+    std::ofstream out(trace_out_path, std::ios::binary);
+    out << obs::flight_trace_json(events, rings) << '\n';
+    if (!out.flush()) {
+      std::fprintf(stderr, "kvx-batch: cannot write '%s'\n",
+                   trace_out_path.c_str());
+      return kExitRuntime;
+    }
   }
   return any_failed ? kExitRuntime : kExitOk;
 }
