@@ -3,20 +3,20 @@
 // This is the HW/SW co-design split of the paper's motivating workload
 // (§1, CRYSTALS-Kyber matrix generation): software performs the sponge
 // bookkeeping (padding, absorb XOR, squeeze copy) while the accelerator
-// runs up to SN Keccak-f[1600] permutations in lockstep. With
-// `on_device_absorb` the absorb phase itself also runs on the accelerator
-// (OnDeviceSponge): states stay in the vector register file across all
-// message blocks.
+// runs up to SN Keccak-f[1600] permutations in lockstep.
 //
-// Lockstep batching requires all messages in a batch to have the same
-// length (exactly the Kyber situation: seed ‖ row ‖ column indices of equal
-// size). hash_batch() groups arbitrary inputs by length automatically.
+// Only the permutation is lockstep. Every batch call runs one sponge loop
+// (sponge_batch) in which each of the SN lanes carries its own job — rate,
+// domain byte, input and output length may all differ — and its own absorb
+// or squeeze cursor. Each step permutes the busy lanes together; a lane
+// whose job finishes takes the next job of the batch, so mixed traffic
+// keeps the lanes filled (continuous batching at block granularity).
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "kvx/core/on_device_sponge.hpp"
 #include "kvx/core/vector_keccak.hpp"
 #include "kvx/keccak/sha3.hpp"
 #include "kvx/obs/step_cycles.hpp"
@@ -33,25 +33,45 @@ struct BatchStats {
   obs::StepCycleStats step_cycles;
 };
 
-struct ParallelSha3Options {
-  /// Run the absorb phase on the accelerator too (64-bit custom-ISE archs
-  /// only): message blocks are staged and XORed into register-resident
-  /// states by the generated on-device absorb program.
-  bool on_device_absorb = false;
+/// Domain-separation byte of cSHAKE and KMAC (SP 800-185).
+inline constexpr u8 kCshakeDomain = 0x04;
+
+/// One raw-sponge job: absorb `input` at `rate` bytes per block with the
+/// `domain` byte before pad10*1, then squeeze `out_len` bytes. The input
+/// is borrowed and must outlive the sponge_batch() call.
+struct SpongeJob {
+  usize rate = 0;
+  u8 domain = 0;
+  std::span<const u8> input;
+  usize out_len = 0;
+
+  /// A FIPS 202 function over `input`: its rate, domain 0x06 (SHA3-*) or
+  /// 0x1F (SHAKE*).
+  [[nodiscard]] static SpongeJob fips202(keccak::Sha3Function f,
+                                         std::span<const u8> input,
+                                         usize out_len) noexcept;
 };
+
+/// The SP 800-185 input encoding of KMAC (N = "KMAC") at the cSHAKE `rate`:
+///   bytepad(encode_string(N) ‖ encode_string(S), rate) ‖
+///   bytepad(encode_string(K), rate) ‖ message ‖ right_encode(8·out_len)
+/// — the bytes a SpongeJob absorbs with kCshakeDomain. kmac_batch and the
+/// engine's KMAC jobs both build their inputs here.
+[[nodiscard]] std::vector<u8> kmac_input(usize rate, std::span<const u8> key,
+                                         std::span<const u8> message,
+                                         usize out_len,
+                                         std::span<const u8> customization);
 
 class ParallelSha3 {
  public:
-  explicit ParallelSha3(const VectorKeccakConfig& config,
-                        const ParallelSha3Options& options = {});
+  explicit ParallelSha3(const VectorKeccakConfig& config);
 
   /// Construct around a prebuilt permutation program (see
   /// VectorKeccak::build_program). All instances sharing the program still
   /// own independent simulator state, so each is safe to drive from its own
   /// thread.
   ParallelSha3(const VectorKeccakConfig& config,
-               std::shared_ptr<const KeccakProgram> program,
-               const ParallelSha3Options& options = {});
+               std::shared_ptr<const KeccakProgram> program);
 
   /// Cheap per-shard clone: a fresh instance (own simulator, zeroed stats)
   /// that shares this instance's immutable program.
@@ -60,9 +80,6 @@ class ParallelSha3 {
   [[nodiscard]] unsigned lanes() const noexcept { return vk_.config().sn(); }
   [[nodiscard]] const VectorKeccakConfig& config() const noexcept {
     return vk_.config();
-  }
-  [[nodiscard]] const ParallelSha3Options& options() const noexcept {
-    return options_;
   }
   [[nodiscard]] const std::shared_ptr<const KeccakProgram>& shared_program()
       const noexcept {
@@ -95,11 +112,12 @@ class ParallelSha3 {
     return vk_.construction_attempts();
   }
 
-  /// Tier-by-tier record of the most recent permutation dispatch (see
-  /// VectorKeccak::last_dispatch_attempts).
-  [[nodiscard]] const std::vector<BackendAttempt>& last_dispatch_attempts()
+  /// Tier attempts of the last sponge_batch() call: the chain of each
+  /// permutation that demoted or threw, in order, then the final clean
+  /// attempt if any. A call without demotions holds exactly one entry.
+  [[nodiscard]] const std::vector<BackendAttempt>& last_batch_attempts()
       const noexcept {
-    return vk_.last_dispatch_attempts();
+    return batch_attempts_;
   }
 
   /// Fraction of trace records fused into super-kernels ([0, 1]); 0 unless
@@ -125,8 +143,15 @@ class ParallelSha3 {
     return vk_.jit_isa();
   }
 
+  /// Run a batch of sponge jobs through the SN lanes and return one output
+  /// per job, in job order. Jobs may differ in every field; a free lane
+  /// takes the next job in batch order. If a permutation dispatch throws
+  /// (on every tier), the whole call throws.
+  [[nodiscard]] std::vector<std::vector<u8>> sponge_batch(
+      std::span<const SpongeJob> jobs);
+
   /// Hash a batch of messages with a fixed-output function; every message
-  /// may have a different length (grouped internally).
+  /// may have a different length.
   [[nodiscard]] std::vector<std::vector<u8>> hash_batch(
       keccak::Sha3Function f, std::span<const std::vector<u8>> messages);
 
@@ -156,32 +181,15 @@ class ParallelSha3 {
       usize rate, u8 domain, std::span<const std::vector<u8>> messages,
       usize out_len);
 
-  /// Partial-batch dispatch: run ONE lockstep group of ≤ SN equal-length
-  /// messages through the raw sponge, writing `out_len` bytes per message
-  /// into `outs`. This skips raw_batch()'s by-length grouping pass — the
-  /// entry point for host-side batching layers (kvx_engine shards) that
-  /// fill the SN lanes themselves.
-  void dispatch_group(usize rate, u8 domain,
-                      std::span<const std::vector<u8>> messages,
-                      std::span<std::vector<u8>> outs, usize out_len);
-
   [[nodiscard]] const BatchStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
  private:
-  /// Run one lockstep group (equal-length messages, ≤ SN of them) with an
-  /// explicit rate and domain byte.
-  void run_group(usize rate, u8 domain,
-                 std::span<const std::vector<u8>*> msgs,
-                 std::span<std::vector<u8>*> outs, usize out_len);
-
   void permute_states(std::span<keccak::State> states);
 
   VectorKeccak vk_;
-  ParallelSha3Options options_;
-  std::unique_ptr<OnDeviceSponge> device_sponge_;  ///< per-rate lazily built
-  usize device_sponge_rate_ = 0;
   BatchStats stats_;
+  std::vector<BackendAttempt> batch_attempts_;
 };
 
 }  // namespace kvx::core

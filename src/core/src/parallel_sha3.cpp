@@ -1,7 +1,7 @@
 #include "kvx/core/parallel_sha3.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
 
 #include "kvx/common/error.hpp"
 #include "kvx/keccak/sp800_185.hpp"
@@ -11,148 +11,163 @@ namespace kvx::core {
 using keccak::Sha3Function;
 using keccak::State;
 
-ParallelSha3::ParallelSha3(const VectorKeccakConfig& config,
-                           const ParallelSha3Options& options)
-    : ParallelSha3(config, VectorKeccak::build_program(config), options) {}
+namespace {
+
+/// bytepad(encode_string(N) ‖ encode_string(S), rate): the cSHAKE prefix.
+std::vector<u8> cshake_prefix(usize rate, std::span<const u8> function_name,
+                              std::span<const u8> customization) {
+  std::vector<u8> prefix = keccak::encode_string(function_name);
+  const auto s_enc = keccak::encode_string(customization);
+  prefix.insert(prefix.end(), s_enc.begin(), s_enc.end());
+  return keccak::bytepad(prefix, rate);
+}
+
+/// One lane's cursor into its job.
+struct Lane {
+  const SpongeJob* job = nullptr;
+  std::vector<u8>* out = nullptr;
+  usize absorbed = 0;   ///< input bytes XORed into the state so far
+  bool padded = false;  ///< final block XORed in: squeezing from here on
+  usize squeezed = 0;   ///< output bytes extracted so far
+};
+
+/// XOR the lane's next input block into `state`: a full rate block, or the
+/// final partial block with the domain byte and pad10*1.
+void absorb_next_block(State& state, Lane& lane) {
+  const SpongeJob& job = *lane.job;
+  const usize left = job.input.size() - lane.absorbed;
+  if (left >= job.rate) {
+    state.xor_bytes(job.input.subspan(lane.absorbed, job.rate));
+    lane.absorbed += job.rate;
+    return;
+  }
+  std::array<u8, keccak::kStateBytes> block{};
+  std::copy_n(job.input.begin() + static_cast<std::ptrdiff_t>(lane.absorbed),
+              left, block.begin());
+  block[left] ^= job.domain;
+  block[job.rate - 1] ^= 0x80;
+  state.xor_bytes(std::span<const u8>(block).first(job.rate));
+  lane.absorbed = job.input.size();
+  lane.padded = true;
+}
+
+}  // namespace
+
+SpongeJob SpongeJob::fips202(Sha3Function f, std::span<const u8> input,
+                             usize out_len) noexcept {
+  const u8 domain = keccak::digest_bytes(f) == 0 ? u8{0x1F} : u8{0x06};
+  return {keccak::rate_bytes(f), domain, input, out_len};
+}
+
+std::vector<u8> kmac_input(usize rate, std::span<const u8> key,
+                           std::span<const u8> message, usize out_len,
+                           std::span<const u8> customization) {
+  static constexpr u8 kName[] = {'K', 'M', 'A', 'C'};
+  std::vector<u8> input = cshake_prefix(rate, kName, customization);
+  const auto key_block = keccak::bytepad(keccak::encode_string(key), rate);
+  const auto len_enc = keccak::right_encode(static_cast<u64>(out_len) * 8);
+  input.reserve(input.size() + key_block.size() + message.size() +
+                len_enc.size());
+  input.insert(input.end(), key_block.begin(), key_block.end());
+  input.insert(input.end(), message.begin(), message.end());
+  input.insert(input.end(), len_enc.begin(), len_enc.end());
+  return input;
+}
+
+ParallelSha3::ParallelSha3(const VectorKeccakConfig& config)
+    : ParallelSha3(config, VectorKeccak::build_program(config)) {}
 
 std::unique_ptr<ParallelSha3> ParallelSha3::clone() const {
-  return std::make_unique<ParallelSha3>(vk_.config(), vk_.shared_program(),
-                                        options_);
+  return std::make_unique<ParallelSha3>(vk_.config(), vk_.shared_program());
 }
 
 ParallelSha3::ParallelSha3(const VectorKeccakConfig& config,
-                           std::shared_ptr<const KeccakProgram> program,
-                           const ParallelSha3Options& options)
-    : vk_(config, std::move(program)), options_(options) {
-  if (options_.on_device_absorb) {
-    KVX_CHECK_MSG(config.arch == Arch::k64Lmul1 ||
-                      config.arch == Arch::k64Lmul8 ||
-                      config.arch == Arch::k64Fused,
-                  "on-device absorb requires a 64-bit custom-ISE arch");
-    KVX_CHECK_MSG(config.rounds == 24 && config.first_round == 0,
-                  "on-device absorb supports the full Keccak-f only");
-  }
-}
+                           std::shared_ptr<const KeccakProgram> program)
+    : vk_(config, std::move(program)) {}
 
 void ParallelSha3::permute_states(std::span<State> states) {
-  vk_.permute(states);
+  // Keep the tier chain of every permutation that demoted or threw, so a
+  // fault early in a long call is not hidden by the clean ones after it.
+  const std::vector<BackendAttempt>& tried = vk_.last_dispatch_attempts();
+  try {
+    vk_.permute(states);
+  } catch (...) {
+    batch_attempts_.insert(batch_attempts_.end(), tried.begin(), tried.end());
+    throw;
+  }
+  if (tried.size() > 1) {
+    batch_attempts_.insert(batch_attempts_.end(), tried.begin(), tried.end());
+  }
   stats_.accelerator_cycles += vk_.last_timing().permutation_cycles;
   stats_.permutation_batches += 1;
   stats_.permutations += states.size();
   stats_.step_cycles += vk_.last_step_cycles();
 }
 
-void ParallelSha3::run_group(usize rate, u8 domain,
-                             std::span<const std::vector<u8>*> msgs,
-                             std::span<std::vector<u8>*> outs, usize out_len) {
-  KVX_CHECK(msgs.size() == outs.size());
-  KVX_CHECK(msgs.size() <= lanes());
-  const usize n = msgs.size();
-  const usize len = msgs.empty() ? 0 : msgs[0]->size();
+std::vector<std::vector<u8>> ParallelSha3::sponge_batch(
+    std::span<const SpongeJob> jobs) {
+  batch_attempts_.clear();
+  std::vector<std::vector<u8>> outs(jobs.size());
+  for (usize i = 0; i < jobs.size(); ++i) {
+    KVX_CHECK_MSG(jobs[i].rate > 0 && jobs[i].rate < keccak::kStateBytes,
+                  "sponge rate must be in (0, 200) bytes");
+    outs[i].assign(jobs[i].out_len, 0);
+  }
 
-  std::vector<State> states(n);
-
-  if (options_.on_device_absorb) {
-    // Pad every message to a whole number of rate blocks host-side, then
-    // hand the entire absorb phase to the accelerator-resident sponge.
-    const usize padded_len = (len / rate + 1) * rate;
-    std::vector<std::vector<u8>> padded(n);
-    for (usize s = 0; s < n; ++s) {
-      padded[s].assign(padded_len, 0);
-      std::copy(msgs[s]->begin(), msgs[s]->end(), padded[s].begin());
-      padded[s][len] ^= domain;
-      padded[s][padded_len - 1] ^= 0x80;
+  // Busy lanes stay packed at the front of `states`, so each step permutes
+  // the prefix states[0, busy). Free lanes take jobs in batch order.
+  std::vector<State> states(lanes());
+  std::vector<Lane> lane(lanes());
+  usize busy = 0;
+  usize next = 0;
+  for (;;) {
+    while (busy < lanes() && next < jobs.size()) {
+      const usize i = next++;
+      lane[busy] = {&jobs[i], &outs[i]};
+      states[busy] = State{};
+      absorb_next_block(states[busy], lane[busy]);
+      ++busy;
     }
-    if (device_sponge_ == nullptr || device_sponge_rate_ != rate) {
-      device_sponge_ = std::make_unique<OnDeviceSponge>(
-          vk_.config().arch, vk_.config().ele_num, rate);
-      device_sponge_rate_ = rate;
-    }
-    const auto absorbed = device_sponge_->absorb(padded);
-    std::copy(absorbed.begin(), absorbed.end(), states.begin());
-    const auto blocks = padded_len / rate;
-    stats_.accelerator_cycles += device_sponge_->last_cycles();
-    stats_.permutation_batches += blocks;
-    stats_.permutations += blocks * n;
-    stats_.step_cycles += device_sponge_->last_step_cycles();
-  } else {
-    // Absorb full blocks in lockstep (all messages have equal length).
-    usize pos = 0;
-    while (len - pos >= rate) {
-      for (usize s = 0; s < n; ++s) {
-        states[s].xor_bytes(std::span<const u8>(*msgs[s]).subspan(pos, rate));
+    if (busy == 0) break;
+    permute_states(std::span<State>(states).first(busy));
+    for (usize l = 0; l < busy;) {
+      Lane& cur = lane[l];
+      if (!cur.padded) {
+        absorb_next_block(states[l], cur);
+        ++l;
+        continue;
       }
-      permute_states(states);
-      pos += rate;
+      const usize take =
+          std::min(cur.job->out_len - cur.squeezed, cur.job->rate);
+      states[l].extract_bytes(
+          std::span<u8>(*cur.out).subspan(cur.squeezed, take));
+      cur.squeezed += take;
+      if (cur.squeezed < cur.job->out_len) {
+        ++l;
+        continue;
+      }
+      // Done: the last busy lane moves into this slot and is advanced next.
+      --busy;
+      lane[l] = lane[busy];
+      states[l] = states[busy];
     }
-    // Final partial block with pad10*1 + domain bits.
-    const usize tail = len - pos;
-    for (usize s = 0; s < n; ++s) {
-      std::vector<u8> block(rate, 0);
-      std::copy_n(msgs[s]->begin() + static_cast<std::ptrdiff_t>(pos), tail,
-                  block.begin());
-      block[tail] ^= domain;
-      block[rate - 1] ^= 0x80;
-      states[s].xor_bytes(block);
-    }
-    permute_states(states);
   }
-
-  // Squeeze in lockstep.
-  for (usize s = 0; s < n; ++s) outs[s]->assign(out_len, 0);
-  usize produced = 0;
-  while (produced < out_len) {
-    const usize take = std::min(out_len - produced, rate);
-    for (usize s = 0; s < n; ++s) {
-      states[s].extract_bytes(
-          std::span<u8>(*outs[s]).subspan(produced, take));
-    }
-    produced += take;
-    if (produced < out_len) permute_states(states);
-  }
-}
-
-void ParallelSha3::dispatch_group(usize rate, u8 domain,
-                                  std::span<const std::vector<u8>> messages,
-                                  std::span<std::vector<u8>> outs,
-                                  usize out_len) {
-  KVX_CHECK(messages.size() == outs.size());
-  const usize len = messages.empty() ? 0 : messages[0].size();
-  std::vector<const std::vector<u8>*> msgs(messages.size());
-  std::vector<std::vector<u8>*> out_ptrs(outs.size());
-  for (usize i = 0; i < messages.size(); ++i) {
-    KVX_CHECK_MSG(messages[i].size() == len,
-                  "dispatch_group requires equal-length messages");
-    msgs[i] = &messages[i];
-    out_ptrs[i] = &outs[i];
-  }
-  run_group(rate, domain, msgs, out_ptrs, out_len);
+  // A clean final permutation was not kept above; it closes the chain with
+  // the tier that finished the call.
+  const std::vector<BackendAttempt>& last = vk_.last_dispatch_attempts();
+  if (!jobs.empty() && last.size() == 1) batch_attempts_.push_back(last[0]);
+  return outs;
 }
 
 std::vector<std::vector<u8>> ParallelSha3::raw_batch(
     usize rate, u8 domain, std::span<const std::vector<u8>> messages,
     usize out_len) {
-  std::vector<std::vector<u8>> outs(messages.size());
-
-  // Group message indices by length, then run lockstep groups of ≤ SN.
-  std::map<usize, std::vector<usize>> by_len;
-  for (usize i = 0; i < messages.size(); ++i) {
-    by_len[messages[i].size()].push_back(i);
+  std::vector<SpongeJob> jobs;
+  jobs.reserve(messages.size());
+  for (const std::vector<u8>& m : messages) {
+    jobs.push_back({rate, domain, m, out_len});
   }
-  for (const auto& [len, indices] : by_len) {
-    (void)len;
-    for (usize start = 0; start < indices.size(); start += lanes()) {
-      const usize n = std::min<usize>(lanes(), indices.size() - start);
-      std::vector<const std::vector<u8>*> msgs(n);
-      std::vector<std::vector<u8>*> group_outs(n);
-      for (usize k = 0; k < n; ++k) {
-        msgs[k] = &messages[indices[start + k]];
-        group_outs[k] = &outs[indices[start + k]];
-      }
-      run_group(rate, domain, msgs, group_outs, out_len);
-    }
-  }
-  return outs;
+  return sponge_batch(jobs);
 }
 
 std::vector<std::vector<u8>> ParallelSha3::hash_batch(
@@ -164,8 +179,12 @@ std::vector<std::vector<u8>> ParallelSha3::hash_batch(
 
 std::vector<std::vector<u8>> ParallelSha3::xof_batch(
     Sha3Function f, std::span<const std::vector<u8>> messages, usize out_len) {
-  const u8 domain = keccak::digest_bytes(f) == 0 ? u8{0x1F} : u8{0x06};
-  return raw_batch(keccak::rate_bytes(f), domain, messages, out_len);
+  std::vector<SpongeJob> jobs;
+  jobs.reserve(messages.size());
+  for (const std::vector<u8>& m : messages) {
+    jobs.push_back(SpongeJob::fips202(f, m, out_len));
+  }
+  return sponge_batch(jobs);
 }
 
 std::vector<std::vector<u8>> ParallelSha3::cshake_batch(
@@ -178,20 +197,16 @@ std::vector<std::vector<u8>> ParallelSha3::cshake_batch(
   if (function_name.empty() && customization.empty()) {
     return raw_batch(rate, 0x1F, messages, out_len);  // degrades to SHAKE
   }
-  // Prepend the bytepad(encode_string(N) || encode_string(S), rate) prefix
-  // to every message; the accelerator then treats it as plain input.
-  std::vector<u8> prefix = keccak::encode_string(function_name);
-  const auto s_enc = keccak::encode_string(customization);
-  prefix.insert(prefix.end(), s_enc.begin(), s_enc.end());
-  const auto padded_prefix = keccak::bytepad(prefix, rate);
-
+  // Prepend the cSHAKE prefix to every message; the accelerator then treats
+  // it as plain input.
+  const auto prefix = cshake_prefix(rate, function_name, customization);
   std::vector<std::vector<u8>> prefixed(messages.size());
   for (usize i = 0; i < messages.size(); ++i) {
-    prefixed[i] = padded_prefix;
+    prefixed[i] = prefix;
     prefixed[i].insert(prefixed[i].end(), messages[i].begin(),
                        messages[i].end());
   }
-  return raw_batch(rate, 0x04, prefixed, out_len);
+  return raw_batch(rate, kCshakeDomain, prefixed, out_len);
 }
 
 std::vector<std::vector<u8>> ParallelSha3::kmac_batch(
@@ -201,17 +216,11 @@ std::vector<std::vector<u8>> ParallelSha3::kmac_batch(
   KVX_CHECK_MSG(security_bits == 128 || security_bits == 256,
                 "KMAC security must be 128 or 256");
   const usize rate = security_bits == 128 ? 168 : 136;
-  static constexpr u8 kName[] = {'K', 'M', 'A', 'C'};
-  const auto key_block = keccak::bytepad(keccak::encode_string(key), rate);
-  const auto len_enc = keccak::right_encode(static_cast<u64>(out_len) * 8);
-
   std::vector<std::vector<u8>> inputs(messages.size());
   for (usize i = 0; i < messages.size(); ++i) {
-    inputs[i] = key_block;
-    inputs[i].insert(inputs[i].end(), messages[i].begin(), messages[i].end());
-    inputs[i].insert(inputs[i].end(), len_enc.begin(), len_enc.end());
+    inputs[i] = kmac_input(rate, key, messages[i], out_len, customization);
   }
-  return cshake_batch(security_bits, inputs, out_len, kName, customization);
+  return raw_batch(rate, kCshakeDomain, inputs, out_len);
 }
 
 }  // namespace kvx::core

@@ -37,8 +37,8 @@ std::vector<u8> ParallelTreeHash::hash(std::span<const u8> msg,
     leaves.emplace_back(msg.begin() + static_cast<std::ptrdiff_t>(pos),
                         msg.begin() + static_cast<std::ptrdiff_t>(pos + take));
   }
-  // All full-size leaves run in lockstep batches of SN; a short final leaf
-  // (different length) forms its own group inside raw_batch.
+  // One raw_batch call for every leaf: a short final leaf just frees its
+  // lane a few blocks early, and the lane takes the next leaf.
   const auto cvs = accel_.raw_batch(kTurboShake128Rate, TreeHashDomains::kLeaf,
                                     leaves, params_.cv_bytes);
   const std::vector<std::vector<u8>> final_node = {

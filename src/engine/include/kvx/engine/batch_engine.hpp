@@ -15,15 +15,17 @@
 //    submission order, independent of worker scheduling and stealing;
 //    try_drain_ready() hands them out as they retire, for event loops that
 //    route by seq. Digests are bit-identical to a single-threaded run.
-//  * Fail-soft isolation — jobs fail individually. A malformed job, an
-//    injected fault or a dispatch error marks ONLY the jobs of that
-//    dispatch group as failed; batch-mates and every other job complete
-//    normally. Invariant: submitted == completed + failed, exactly, at
-//    every quiescent point (mirrored by the Prometheus counters).
+//  * Fail-soft isolation — jobs fail individually. A malformed job fails
+//    alone; an injected fault or a dispatch error that survives every tier
+//    marks ONLY the jobs of that dispatch (one popped run) as failed; every
+//    other job completes normally. Invariant: submitted == completed +
+//    failed, exactly, at every quiescent point (mirrored by the Prometheus
+//    counters).
 //  * Lane filling — workers pop runs of jobs (batch_window, default 4·SN)
-//    so each simulator dispatch can fill all SN lanes; submit_batch()
-//    pushes contiguous chunks of that size per queue shard so runs group
-//    well by dispatch signature.
+//    and hand each run to ParallelSha3::sponge_batch as one call, whatever
+//    the algorithms, lengths and keys in it: every SN lane keeps its own
+//    sponge cursor and takes the run's next job when its own finishes.
+//    submit_batch() pushes contiguous chunks of that size per queue shard.
 //  * Graceful shutdown — close() stops intake; queued jobs still complete.
 //    The destructor closes and joins; nothing is dropped.
 //  * Backpressure — a bounded queue (max_queue) blocks submit() instead of
@@ -66,10 +68,8 @@ struct EngineConfig {
   /// accel.fault_injector for deterministic fault injection; all shards
   /// share the injector's decision stream.
   core::VectorKeccakConfig accel{core::Arch::k64Lmul8, 15, 24};
-  /// Per-shard ParallelSha3 options (e.g. on-device absorb).
-  core::ParallelSha3Options accel_options{};
-  /// Jobs a worker grabs per queue pop; 0 = 4 × SN (enough to fill the
-  /// lanes even with some length mismatch).
+  /// Jobs a worker grabs per queue pop; 0 = 4 × SN (enough jobs to refill
+  /// each lane a few times within one dispatch).
   usize batch_window = 0;
   /// Queue bound for submit() backpressure; 0 = unbounded.
   usize max_queue = 0;

@@ -5,7 +5,7 @@
 // 1 to 8 threads). v2 shards the queue: one bounded lock-free MPMC ring
 // (kvx/engine/job_ring.hpp) per worker. Producers distribute jobs over the
 // rings round-robin — in contiguous *chunks* for bulk submits, so each
-// worker still pops runs that group well by dispatch signature — and every
+// worker pops a full window as one run (one accelerator call) — and every
 // worker pops its own ring first, then steals whole runs from its victims
 // when it runs dry. Push/pop fast paths are a CAS on the owning ring plus
 // a handful of relaxed atomics; the only mutex left is a parking lot for

@@ -20,6 +20,9 @@ struct ShardStats {
   u64 dispatches = 0;         ///< batches popped from the queue
   u64 sim_cycles = 0;         ///< simulated accelerator cycles consumed
   u64 permutations = 0;       ///< Keccak state-permutations performed
+  /// Accelerator permutation dispatches; permutations / permutation_batches
+  /// is the mean number of SN lanes filled per dispatch.
+  u64 permutation_batches = 0;
   u64 host_ns = 0;            ///< host wall time spent inside dispatches
   /// Per-step attribution of sim_cycles (θ/ρπ/χι/absorb/other);
   /// step_cycles.total == sim_cycles, exactly, on every backend.
@@ -101,6 +104,7 @@ struct EngineStats {
       t.dispatches += s.dispatches;
       t.sim_cycles += s.sim_cycles;
       t.permutations += s.permutations;
+      t.permutation_batches += s.permutation_batches;
       t.host_ns += s.host_ns;
       t.step_cycles += s.step_cycles;
     }

@@ -43,10 +43,10 @@ struct EngineMetrics {
   obs::Counter& dispatches;
   obs::Counter& sim_cycles;
   obs::Counter& permutations;
+  obs::Counter& permutation_batches;
   obs::Counter& step_theta;
   obs::Counter& step_rho_pi;
   obs::Counter& step_chi_iota;
-  obs::Counter& step_absorb;
   obs::Counter& step_other;
   obs::Histogram& job_latency_ns;
 
@@ -69,14 +69,15 @@ struct EngineMetrics {
                   "Simulated accelerator cycles consumed"),
         r.counter("kvx_engine_permutations_total",
                   "Keccak state-permutations performed"),
+        r.counter("kvx_engine_permutation_batches_total",
+                  "Accelerator permutation dispatches (each permutes up to SN "
+                  "states in lockstep)"),
         r.counter("kvx_engine_step_cycles_theta_total",
                   "Simulated cycles attributed to the theta step"),
         r.counter("kvx_engine_step_cycles_rho_pi_total",
                   "Simulated cycles attributed to the rho+pi steps"),
         r.counter("kvx_engine_step_cycles_chi_iota_total",
                   "Simulated cycles attributed to the chi+iota steps"),
-        r.counter("kvx_engine_step_cycles_absorb_total",
-                  "Simulated cycles attributed to on-device absorb staging"),
         r.counter("kvx_engine_step_cycles_other_total",
                   "Simulated cycles attributed to permutation loop control"),
         r.histogram("kvx_engine_job_latency_ns",
@@ -109,14 +110,6 @@ u64 steady_now_ns() {
                               .count());
 }
 
-/// Jobs that can share one accelerator dispatch: same algorithm, output
-/// length and (for KMAC) key material. ParallelSha3 then handles the
-/// by-length lockstep grouping internally.
-bool same_dispatch(const HashJob& a, const HashJob& b) {
-  return a.algo == b.algo && a.resolved_out_len() == b.resolved_out_len() &&
-         a.key == b.key && a.customization == b.customization;
-}
-
 /// Validation error for a malformed job, or "" if the job is well-formed.
 /// Malformed jobs become immediate per-job failures (never exceptions), so
 /// one bad job in a stream cannot discard its stream-mates.
@@ -140,7 +133,7 @@ std::string validate(const HashJob& job) {
 
 /// The forensic demotion path of the accelerator's current state:
 /// construction-time rejections (fixed per shard) followed by the tier
-/// attempts of the most recent dispatch.
+/// attempts of the most recent sponge_batch call.
 std::vector<TierAttempt> demotion_path_of(const core::ParallelSha3& accel) {
   std::vector<TierAttempt> path;
   const auto append = [&path](const std::vector<core::BackendAttempt>& as) {
@@ -150,7 +143,7 @@ std::vector<TierAttempt> demotion_path_of(const core::ParallelSha3& accel) {
     }
   };
   append(accel.construction_attempts());
-  append(accel.last_dispatch_attempts());
+  append(accel.last_batch_attempts());
   return path;
 }
 
@@ -191,8 +184,7 @@ BatchHashEngine::BatchHashEngine(const EngineConfig& config)
   for (unsigned t = 0; t < config_.threads; ++t) {
     auto shard = std::make_unique<Shard>();
     shard->index = t;
-    shard->accel = std::make_unique<core::ParallelSha3>(
-        config_.accel, program, config_.accel_options);
+    shard->accel = std::make_unique<core::ParallelSha3>(config_.accel, program);
     // Construction-time demotions (trace compile rejected, genuinely or by
     // an injected fault) are fallbacks too — count them before any job runs.
     const u64 fb = shard->accel->backend_fallbacks();
@@ -561,10 +553,10 @@ void BatchHashEngine::worker_loop(unsigned index, Shard& shard) {
     try {
       process_batch(shard, batch);
     } catch (const std::exception& e) {
-      // Backstop for failures outside the per-group isolation (allocation
-      // in the grouping pass, retire bookkeeping): every job of the batch
-      // is retired as failed, with full metric and latency accounting, so
-      // drain terminates and the counters stay consistent.
+      // Backstop for failures outside the dispatch (input encoding, retire
+      // bookkeeping): every job of the batch is retired as failed, with
+      // full metric and latency accounting, so drain terminates and the
+      // counters stay consistent.
       fail_batch(shard, batch, e.what());
     }
   }
@@ -608,71 +600,49 @@ void BatchHashEngine::process_batch(Shard& shard,
   obs::FlightRecorder& fr = obs::FlightRecorder::global();
   fr.record(obs::FlightEventType::kDispatch, 0, batch.size(), shard.index);
 
-  // Partition the run into dispatch groups (order-preserving); each group
-  // goes to the accelerator as one batch so equal-length jobs share lanes.
-  // Each group is its own failure domain: a SimError or Error thrown by one
-  // dispatch marks only that group's jobs failed; the loop continues with
-  // the next group.
-  std::vector<JobResult> outcomes(batch.size());
-  std::vector<bool> grouped(batch.size(), false);
-  u64 bytes = 0;
+  // The whole run is one sponge_batch call: every job gets its own lane
+  // cursor, whatever its algorithm, length or key. SHA-3/SHAKE jobs borrow
+  // their message; KMAC jobs absorb their SP 800-185 encoding.
+  std::vector<core::SpongeJob> sponge(batch.size());
+  std::vector<std::vector<u8>> kmac_inputs;
+  kmac_inputs.reserve(batch.size());
+  u64 batch_bytes = 0;
   for (usize i = 0; i < batch.size(); ++i) {
-    if (grouped[i]) continue;
-    std::vector<usize> members{i};
-    for (usize j = i + 1; j < batch.size(); ++j) {
-      if (!grouped[j] && same_dispatch(batch[i].job, batch[j].job)) {
-        grouped[j] = true;
-        members.push_back(j);
-      }
+    const HashJob& job = batch[i].job;
+    const usize out_len = job.resolved_out_len();
+    batch_bytes += job.message.size();
+    if (job.algo == Algo::kKmac128 || job.algo == Algo::kKmac256) {
+      const usize rate = keccak::rate_bytes(base_function(job.algo));
+      kmac_inputs.push_back(core::kmac_input(rate, job.key, job.message,
+                                             out_len, job.customization));
+      sponge[i] = {rate, core::kCshakeDomain, kmac_inputs.back(), out_len};
+    } else {
+      sponge[i] = core::SpongeJob::fips202(base_function(job.algo),
+                                           job.message, out_len);
     }
-    std::vector<std::vector<u8>> msgs(members.size());
-    u64 group_bytes = 0;
-    for (usize k = 0; k < members.size(); ++k) {
-      msgs[k] = batch[members[k]].job.message;
-      group_bytes += msgs[k].size();
+  }
+  // A dispatch that throws on every tier (the interpreter is the last
+  // resort) fails the run's jobs together, each with the full
+  // attempted-tier chain.
+  std::vector<JobResult> outcomes(batch.size());
+  bool hashed = false;
+  try {
+    std::vector<std::vector<u8>> outs = accel.sponge_batch(sponge);
+    const std::string backend(sim::backend_name(accel.last_backend()));
+    for (usize i = 0; i < batch.size(); ++i) {
+      outcomes[i].digest = std::move(outs[i]);
+      outcomes[i].backend = backend;
     }
-    const HashJob& head = batch[i].job;
-    const usize out_len = head.resolved_out_len();
-    try {
-      std::vector<std::vector<u8>> outs;
-      switch (head.algo) {
-        case Algo::kKmac128:
-        case Algo::kKmac256:
-          outs = accel.kmac_batch(head.algo == Algo::kKmac128 ? 128u : 256u,
-                                  head.key, msgs, out_len, head.customization);
-          break;
-        case Algo::kShake128:
-        case Algo::kShake256:
-          outs = accel.xof_batch(base_function(head.algo), msgs, out_len);
-          break;
-        default:
-          outs = accel.hash_batch(base_function(head.algo), msgs);
-          break;
-      }
-      const std::string backend(sim::backend_name(accel.last_backend()));
-      // Forensics: a job that succeeded only after demotions carries the
-      // tier chain it went through; the common clean dispatch stays empty.
-      std::vector<TierAttempt> path;
-      if (!accel.construction_attempts().empty() ||
-          accel.last_dispatch_attempts().size() > 1) {
-        path = demotion_path_of(accel);
-      }
-      for (usize k = 0; k < members.size(); ++k) {
-        outcomes[members[k]].digest = std::move(outs[k]);
-        outcomes[members[k]].backend = backend;
-        outcomes[members[k]].demotion_path = path;
-      }
-      bytes += group_bytes;  // only successfully hashed bytes count
-    } catch (const std::exception& e) {
-      // Dispatch failed on every tier (the interpreter is the last resort,
-      // so reaching here means even it threw): each member gets the error
-      // and the full attempted-tier chain.
-      std::vector<TierAttempt> path = demotion_path_of(accel);
-      for (const usize member : members) {
-        outcomes[member].error = e.what();
-        outcomes[member].demotion_path = path;
-      }
-    }
+    hashed = true;
+  } catch (const std::exception& e) {
+    for (JobResult& r : outcomes) r.error = e.what();
+  }
+  // Forensics: a failed job, or one that succeeded only after demotions,
+  // carries the tier chain of its call; the common clean call stays empty.
+  if (!hashed || !accel.construction_attempts().empty() ||
+      accel.last_batch_attempts().size() > 1) {
+    const std::vector<TierAttempt> path = demotion_path_of(accel);
+    for (JobResult& r : outcomes) r.demotion_path = path;
   }
 
   const core::BatchStats after = accel.stats();
@@ -681,6 +651,8 @@ void BatchHashEngine::process_batch(Shard& shard,
           .count());
   const u64 cycles = after.accelerator_cycles - before.accelerator_cycles;
   const u64 perms = after.permutations - before.permutations;
+  const u64 perm_batches =
+      after.permutation_batches - before.permutation_batches;
   const obs::StepCycleStats steps = after.step_cycles.minus(before.step_cycles);
   // Dispatch-time backend demotions this batch caused: diff the
   // accelerator's monotone fallback counter (worker thread only, so no
@@ -689,11 +661,9 @@ void BatchHashEngine::process_batch(Shard& shard,
   const u64 fallbacks = accel_fallbacks - shard.fallbacks_seen;
   shard.fallbacks_seen = accel_fallbacks;
 
-  usize ok_jobs = 0;
-  for (const JobResult& r : outcomes) {
-    if (r.ok()) ++ok_jobs;
-  }
+  const usize ok_jobs = hashed ? batch.size() : 0;
   const usize failed_jobs = batch.size() - ok_jobs;
+  const u64 bytes = hashed ? batch_bytes : 0;  // only hashed bytes count
 
   EngineMetrics& m = EngineMetrics::get();
   m.jobs_completed.inc(ok_jobs);
@@ -703,10 +673,10 @@ void BatchHashEngine::process_batch(Shard& shard,
   m.dispatches.inc();
   m.sim_cycles.inc(cycles);
   m.permutations.inc(perms);
+  m.permutation_batches.inc(perm_batches);
   m.step_theta.inc(steps.theta);
   m.step_rho_pi.inc(steps.rho_pi);
   m.step_chi_iota.inc(steps.chi_iota);
-  m.step_absorb.inc(steps.absorb);
   m.step_other.inc(steps.other);
 
   // One retire event covers the whole batch; failed jobs additionally get
@@ -751,6 +721,7 @@ void BatchHashEngine::process_batch(Shard& shard,
     shard.stats.dispatches += 1;
     shard.stats.sim_cycles += cycles;
     shard.stats.permutations += perms;
+    shard.stats.permutation_batches += perm_batches;
     shard.stats.host_ns += host_ns;
     shard.stats.step_cycles += steps;
     sync_mirror_locked();

@@ -140,8 +140,8 @@ usize ShardedJobQueue::push_bulk(std::span<QueuedJob> items, usize chunk) {
   const usize n = rings_.size();
   usize pushed = 0;
   while (pushed < items.size()) {
-    // One contiguous chunk per round-robin shard keeps dispatch-signature
-    // runs together on a single worker.
+    // One contiguous chunk per round-robin shard, so a worker pops a whole
+    // window of a bulk submit as one run (one accelerator call).
     const u64 shard = cursor_.fetch_add(1, std::memory_order_relaxed);
     usize in_chunk = 0;
     while (pushed < items.size() && in_chunk < chunk) {

@@ -79,7 +79,7 @@ namespace {
 
 // Scalar: always compiled — the KVX_HOST_SIMD=OFF floor and the last resort
 // of the runtime dispatch.
-#define KVX_HS_NAME run_group_scalar
+#define KVX_HS_NAME run_segment_scalar
 #define KVX_HS_ATTR
 #define KVX_HS_VEC u64
 #define KVX_HS_LANES 1
@@ -102,7 +102,7 @@ inline hs_v4 hs_ld4(const u64* p) noexcept {
 }
 inline void hs_st4(u64* p, hs_v4 v) noexcept { std::memcpy(p, &v, 32); }
 
-#define KVX_HS_NAME run_group_portable
+#define KVX_HS_NAME run_segment_portable
 #define KVX_HS_ATTR
 #define KVX_HS_VEC hs_v4
 #define KVX_HS_LANES 4
@@ -120,7 +120,7 @@ inline void hs_st4(u64* p, hs_v4 v) noexcept { std::memcpy(p, &v, 32); }
 #if KVX_HS_HAVE_AVX2
 // 64-bit rotate as shift-shift-or; the r == 0 arm keeps the srli count in
 // range (vpsrlq by 64 is well-defined zero, but no need to rely on it).
-#define KVX_HS_NAME run_group_avx2
+#define KVX_HS_NAME run_segment_avx2
 #define KVX_HS_ATTR __attribute__((target("avx2")))
 #define KVX_HS_VEC __m256i
 #define KVX_HS_LANES 4
@@ -144,7 +144,7 @@ inline void hs_st4(u64* p, hs_v4 v) noexcept { std::memcpy(p, &v, 32); }
 #if KVX_HS_HAVE_AVX512
 // The XKCP/K12 idiom: ternarylogic 0x96 is XOR3, 0xD2 is Chi (a ^ (~b & c)),
 // and vprolq rotates without the shift-or dance.
-#define KVX_HS_NAME run_group_avx512
+#define KVX_HS_NAME run_segment_avx512
 #define KVX_HS_ATTR __attribute__((target("avx512f")))
 #define KVX_HS_VEC __m512i
 #define KVX_HS_LANES 8
@@ -158,21 +158,21 @@ inline void hs_st4(u64* p, hs_v4 v) noexcept { std::memcpy(p, &v, 32); }
 #include "host_simd_kernels.inc"
 #endif  // KVX_HS_HAVE_AVX512
 
-using GroupRunner = void (*)(u8*, u32, u32, u32, u32, const HostSimdKernel*,
+using SegmentRunner = void (*)(u8*, u32, u32, u32, u32, const HostSimdKernel*,
                              u32);
 
-GroupRunner runner_for(HostSimdIsa isa) noexcept {
+SegmentRunner runner_for(HostSimdIsa isa) noexcept {
   switch (isa) {
 #if KVX_HS_HAVE_AVX512
-    case HostSimdIsa::kAvx512: return &run_group_avx512;
+    case HostSimdIsa::kAvx512: return &run_segment_avx512;
 #endif
 #if KVX_HS_HAVE_AVX2
-    case HostSimdIsa::kAvx2: return &run_group_avx2;
+    case HostSimdIsa::kAvx2: return &run_segment_avx2;
 #endif
 #if KVX_HS_HAVE_PORTABLE
-    case HostSimdIsa::kPortable: return &run_group_portable;
+    case HostSimdIsa::kPortable: return &run_segment_portable;
 #endif
-    default: return &run_group_scalar;
+    default: return &run_segment_scalar;
   }
 }
 
@@ -482,7 +482,7 @@ void HostSimdTrace::execute(VectorUnit& vu, Memory& mem,
   KVX_CHECK_MSG(vu.reg_bytes() == fused_->base().reg_bytes(),
                 "trace compiled for a different vector configuration");
   const HostSimdIsa isa = host_simd_dispatch_isa(sn_);
-  const GroupRunner run = runner_for(isa);
+  const SegmentRunner run = runner_for(isa);
   const u32 pack = host_simd_pack_width(isa);
   const u32 groups = (sn_ + pack - 1) / pack;
   u8* file = vu.file_data();

@@ -378,16 +378,6 @@ TEST(Engine, BoundedQueueAppliesBackpressure) {
   EXPECT_LE(engine.stats().queue_high_water, 2u);
 }
 
-TEST(Engine, OnDeviceAbsorbShards) {
-  EngineConfig cfg;
-  cfg.threads = 2;
-  cfg.accel = {core::Arch::k64Lmul8, 15, 24};
-  cfg.accel_options.on_device_absorb = true;
-  const auto jobs = random_job_mix(12, 12);
-  const auto outs = run_batch(cfg, jobs);
-  EXPECT_EQ(outs, host_references(jobs));
-}
-
 // --- stats ----------------------------------------------------------------------
 
 TEST(Engine, StatsAccountForEveryJobAndByte) {
@@ -553,19 +543,47 @@ TEST(Engine, ParallelSha3CloneSharesProgramAndMatches) {
   EXPECT_EQ(to_hex(a[0]), to_hex(keccak::sha3_384(msgs[0])));
 }
 
-TEST(Engine, DispatchGroupMatchesRawBatch) {
-  // The exposed partial-batch entry point must agree with raw_batch for an
-  // equal-length lockstep group.
-  core::ParallelSha3 ps({core::Arch::k64Lmul8, 15, 24});
-  SplitMix64 rng(15);
-  std::vector<std::vector<u8>> msgs{random_bytes(rng, 64),
-                                    random_bytes(rng, 64),
-                                    random_bytes(rng, 64)};
-  std::vector<std::vector<u8>> outs(3);
-  ps.dispatch_group(136, 0x06, msgs, outs, 32);
-  const auto expect = ps.raw_batch(136, 0x06, msgs, 32);
-  for (usize i = 0; i < 3; ++i) EXPECT_EQ(outs[i], expect[i]);
-  EXPECT_EQ(to_hex(outs[0]), to_hex(keccak::sha3_256(msgs[0])));
+TEST(Engine, MixedAlgorithmRunSharesLanesInOneDispatch) {
+  // SHA3-256, SHAKE128 and KMAC256 jobs of different lengths, popped as
+  // one run, go to the accelerator as one sponge_batch call and fill lanes
+  // together. A long job submitted first keeps the worker busy while the
+  // mixed run is pushed, so the run is popped whole.
+  EngineConfig cfg;
+  cfg.threads = 1;
+  cfg.accel = {core::Arch::k64Lmul8, 15, 24};  // SN = 3
+  BatchHashEngine engine(cfg);
+  SplitMix64 rng(16);
+  HashJob blocker;
+  blocker.message = random_bytes(rng, 20 * 136);
+  engine.submit(blocker);
+
+  std::vector<HashJob> jobs(6);
+  const Algo algos[] = {Algo::kSha3_256, Algo::kShake128, Algo::kKmac256};
+  for (usize i = 0; i < jobs.size(); ++i) {
+    jobs[i].algo = algos[i % 3];
+    jobs[i].message = random_bytes(rng, 17 + 61 * i);
+    if (jobs[i].algo != Algo::kSha3_256) jobs[i].out_len = 40 + 20 * i;
+    if (jobs[i].algo == Algo::kKmac256) {
+      jobs[i].key = random_bytes(rng, 32);
+      jobs[i].customization = {'r', 'u', 'n'};
+    }
+  }
+  const u64 first = engine.submit_batch(jobs);
+  std::vector<JobResult> results;
+  engine.drain_batch(results);
+  ASSERT_EQ(results.size(), jobs.size() + 1);
+  for (usize i = 0; i < jobs.size(); ++i) {
+    const JobResult& r = results[first + i];
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(to_hex(r.digest), to_hex(host_reference_digest(jobs[i])))
+        << algo_name(jobs[i].algo) << " job " << i;
+    // Jobs of one dispatch share its retire event.
+    EXPECT_EQ(r.flight_seq, results[first].flight_seq) << "job " << i;
+  }
+  EXPECT_NE(results[first].flight_seq, 0u);
+  const ShardStats totals = engine.stats().totals();
+  EXPECT_LE(totals.dispatches, 2u);
+  EXPECT_GT(totals.permutations, totals.permutation_batches);
 }
 
 }  // namespace

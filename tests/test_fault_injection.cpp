@@ -691,6 +691,55 @@ TEST(FaultForensics, FailedJobCarriesDemotionPathToTheInterpreter) {
   }
 }
 
+TEST(FaultForensics, DemotionEarlyInALongRunReachesEveryJob) {
+  // Six SHA3-256 jobs of 2-4 blocks at SN = 3 form one run, so one
+  // sponge_batch call of several permutations. Only the run's first
+  // execute draw faults: the first permutation demotes fused -> trace and
+  // the later ones run clean on fused. Every job of the run must still
+  // carry that demotion, then the tier of the call's last permutation.
+  // Construction draws are probed with a never-firing injector first.
+  const auto config = [](FaultPlan plan) {
+    EngineConfig cfg;
+    cfg.threads = 1;
+    cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+    cfg.accel.backend = ExecBackend::kFusedTrace;
+    cfg.accel.fault_injector = std::make_shared<FaultInjector>(plan);
+    return cfg;
+  };
+  const EngineConfig probe_cfg = config(FaultPlan{});
+  { BatchHashEngine probe(probe_cfg); }
+  FaultPlan plan;
+  plan.at_draw = probe_cfg.accel.fault_injector->stats().draws + 1;
+  plan.kinds = static_cast<u32>(FaultKind::kSimFault);
+  BatchHashEngine engine(config(plan));
+
+  std::vector<HashJob> jobs(6);
+  for (usize i = 0; i < jobs.size(); ++i) {
+    jobs[i].algo = Algo::kSha3_256;
+    jobs[i].message.assign(136 * (1 + i % 3) + 5, static_cast<u8>(i));
+  }
+  engine.submit_batch(jobs);
+  std::vector<engine::JobResult> results;
+  engine.drain_batch(results);
+  ASSERT_EQ(results.size(), jobs.size());
+  const engine::ShardStats totals = engine.stats().totals();
+  ASSERT_EQ(totals.dispatches, 1u);
+  ASSERT_GT(totals.permutation_batches, 1u);
+  for (usize i = 0; i < results.size(); ++i) {
+    const JobResult& r = results[i];
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.digest, engine::host_reference_digest(jobs[i])) << i;
+    EXPECT_EQ(r.backend, "fused");
+    ASSERT_EQ(r.demotion_path.size(), 3u) << "job " << i;
+    EXPECT_EQ(r.demotion_path[0].backend, "fused");
+    EXPECT_TRUE(r.demotion_path[0].injected) << r.demotion_path[0].error;
+    EXPECT_EQ(r.demotion_path[1].backend, "trace");
+    EXPECT_TRUE(r.demotion_path[1].error.empty());
+    EXPECT_EQ(r.demotion_path[2].backend, r.backend);
+    EXPECT_TRUE(r.demotion_path[2].error.empty());
+  }
+}
+
 TEST(FaultForensics, CleanDispatchCarriesNoDemotionPath) {
   EngineConfig cfg;
   cfg.threads = 1;

@@ -3,6 +3,8 @@
 // message-length mix.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "kvx/common/error.hpp"
 #include "kvx/common/hex.hpp"
 #include "kvx/common/rng.hpp"
@@ -74,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(name(info.param)).substr(0, 4) +
                                   std::to_string(static_cast<int>(info.param)); });
 
-TEST(ParallelSha3, MixedLengthsGroupedCorrectly) {
+TEST(ParallelSha3, MixedLengthsMatchHost) {
   ParallelSha3 ps({Arch::k64Lmul8, 15, 24});
   std::vector<std::vector<u8>> msgs;
   for (usize len : {0u, 10u, 10u, 200u, 10u, 0u, 137u}) {
@@ -205,53 +207,84 @@ TEST(ParallelSha3, RejectsBadSecurityBits) {
   EXPECT_THROW((void)ps.kmac_batch(512, {}, {}, 32), Error);
 }
 
-// --- on-device absorb path -------------------------------------------------------
+// --- one sponge loop: per-lane cursors and refill -------------------------
 
-class OnDeviceAbsorbTest : public ::testing::TestWithParam<Sha3Function> {};
-
-TEST_P(OnDeviceAbsorbTest, MatchesHostThroughFullPipeline) {
-  ParallelSha3Options opts;
-  opts.on_device_absorb = true;
-  ParallelSha3 ps({Arch::k64Lmul8, 15, 24}, opts);
-  const auto msgs = random_messages(3, 400, 14);  // multi-block
-  const usize out_len = keccak::digest_bytes(GetParam())
-                            ? keccak::digest_bytes(GetParam())
-                            : 100;
-  const auto outs = ps.xof_batch(GetParam(), msgs, out_len);
-  for (usize i = 0; i < msgs.size(); ++i) {
-    EXPECT_EQ(to_hex(outs[i]),
-              to_hex(keccak::hash(GetParam(), msgs[i], out_len)))
-        << name(GetParam()) << " msg " << i;
+TEST(ParallelSha3, DifferentLengthsShareOnePermutation) {
+  // Lengths 0, 50 and 120 all fit one SHA3-256 block: the three jobs take
+  // one lane each and finish in a single SN=3 permutation dispatch.
+  ParallelSha3 ps({Arch::k64Lmul8, 15, 24});
+  std::vector<std::vector<u8>> msgs;
+  for (usize len : {0u, 50u, 120u}) {
+    msgs.push_back(random_messages(1, len, len + 7)[0]);
   }
-  EXPECT_GT(ps.stats().accelerator_cycles, 0u);
+  const auto outs = ps.hash_batch(Sha3Function::kSha3_256, msgs);
+  for (usize i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(to_hex(outs[i]), to_hex(keccak::sha3_256(msgs[i]))) << i;
+  }
+  EXPECT_EQ(ps.stats().permutation_batches, 1u);
+  EXPECT_EQ(ps.stats().permutations, 3u);
+}
+
+TEST(ParallelSha3, FinishedLaneIsRefilledFromTheBatch) {
+  // SN=2: a 10-block message (9 full blocks + the padded tail) holds one
+  // lane for 10 steps; the three 1-block messages run one after another in
+  // the other lane, so the batch takes 10 dispatches, not 10 + 2.
+  ParallelSha3 ps({Arch::k64Lmul8, 10, 24});
+  std::vector<std::vector<u8>> msgs{random_messages(1, 1300, 21)[0]};
+  for (const auto& m : random_messages(3, 40, 22)) msgs.push_back(m);
+  const auto outs = ps.hash_batch(Sha3Function::kSha3_256, msgs);
+  for (usize i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(to_hex(outs[i]), to_hex(keccak::sha3_256(msgs[i]))) << i;
+  }
+  EXPECT_EQ(ps.stats().permutation_batches, 10u);
+  EXPECT_EQ(ps.stats().permutations, 13u);
+}
+
+class SpongeJobMixTest
+    : public ::testing::TestWithParam<std::tuple<sim::ExecBackend, unsigned>> {
+};
+
+TEST_P(SpongeJobMixTest, MixedJobsMatchHostOnEveryTier) {
+  const auto [backend, sn] = GetParam();
+  VectorKeccakConfig cfg{Arch::k64Lmul8, 5 * sn, 24};
+  cfg.backend = backend;
+  ParallelSha3 ps(cfg);
+
+  const auto long_msg = random_messages(1, 300, 31)[0];  // 5 SHA3-512 blocks
+  const auto xof_msg = random_messages(1, 34, 32)[0];
+  const auto mac_msg = random_messages(1, 90, 33)[0];
+  const std::vector<u8> key(32, 0x5A);
+  const std::vector<u8> custom = {'m', 'i', 'x'};
+  const auto mac_in = kmac_input(136, key, mac_msg, 48, custom);
+  const std::vector<SpongeJob> jobs = {
+      SpongeJob::fips202(Sha3Function::kSha3_512, long_msg, 64),
+      SpongeJob::fips202(Sha3Function::kShake128, xof_msg, 500),
+      {136, kCshakeDomain, mac_in, 48},
+      SpongeJob::fips202(Sha3Function::kSha3_256, {}, 32),
+  };
+  const auto outs = ps.sponge_batch(jobs);
+  ASSERT_EQ(outs.size(), jobs.size());
+  EXPECT_EQ(to_hex(outs[0]), to_hex(keccak::sha3_512(long_msg)));
+  EXPECT_EQ(to_hex(outs[1]), to_hex(keccak::shake128(xof_msg, 500)));
+  EXPECT_EQ(to_hex(outs[2]), to_hex(keccak::kmac256(key, mac_msg, 48, custom)));
+  EXPECT_EQ(to_hex(outs[3]), to_hex(keccak::sha3_256({})));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Functions, OnDeviceAbsorbTest,
-    ::testing::Values(Sha3Function::kSha3_256, Sha3Function::kSha3_512,
-                      Sha3Function::kShake128),
+    TiersBySn, SpongeJobMixTest,
+    ::testing::Combine(::testing::Values(sim::ExecBackend::kInterpreter,
+                                         sim::ExecBackend::kCompiledTrace,
+                                         sim::ExecBackend::kFusedTrace,
+                                         sim::ExecBackend::kHostSimd,
+                                         sim::ExecBackend::kJit),
+                       ::testing::Values(1u, 3u, 6u)),
     [](const auto& info) {
-      return std::string(name(info.param)).substr(0, 4) +
-             std::to_string(static_cast<int>(info.param));
+      std::string name(sim::backend_name(std::get<0>(info.param)));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name + "_SN" + std::to_string(std::get<1>(info.param));
     });
-
-TEST(ParallelSha3, OnDeviceAbsorbRequires64BitArch) {
-  ParallelSha3Options opts;
-  opts.on_device_absorb = true;
-  EXPECT_THROW(ParallelSha3 ps({Arch::k32Lmul8, 5, 24}, opts), Error);
-}
-
-TEST(ParallelSha3, OnDeviceKmacBatch) {
-  ParallelSha3Options opts;
-  opts.on_device_absorb = true;
-  ParallelSha3 ps({Arch::k64Fused, 10, 24}, opts);
-  const auto msgs = random_messages(2, 64, 15);
-  std::vector<u8> key(16, 0x11);
-  const auto outs = ps.kmac_batch(128, key, msgs, 32);
-  for (usize i = 0; i < msgs.size(); ++i) {
-    EXPECT_EQ(to_hex(outs[i]), to_hex(keccak::kmac128(key, msgs[i], 32)));
-  }
-}
 
 }  // namespace
 }  // namespace kvx::core

@@ -21,6 +21,7 @@
 //     --stats            print per-shard engine statistics, the backend that
 //                        actually ran, compile time, fusion coverage, cache
 //                        hits, jit emissions + trace-cache occupancy,
+//                        lanes filled per permutation (of SN),
 //                        throughput, per-step cycle attribution and
 //                        p50/p99/p99.9/max job latency
 //     --metrics-json F   write the metrics-registry JSON snapshot to F
@@ -284,15 +285,21 @@ int main(int argc, char** argv) {
     if (stats) {
       const EngineStats st = engine.stats();
       const ShardStats t = st.totals();
+      const double lanes_filled =
+          t.permutation_batches != 0
+              ? static_cast<double>(t.permutations) /
+                    static_cast<double>(t.permutation_batches)
+              : 0.0;
       std::fprintf(stderr,
                    "engine: %u shards x SN=%u | jobs %llu | bytes %llu | "
-                   "dispatches %llu | sim cycles %llu | queue high-water %zu\n",
+                   "dispatches %llu | sim cycles %llu | lanes filled %.2f of "
+                   "%u | queue high-water %zu\n",
                    engine.threads(), engine.lanes_per_shard(),
                    static_cast<unsigned long long>(t.jobs),
                    static_cast<unsigned long long>(t.bytes),
                    static_cast<unsigned long long>(t.dispatches),
-                   static_cast<unsigned long long>(t.sim_cycles),
-                   st.queue_high_water);
+                   static_cast<unsigned long long>(t.sim_cycles), lanes_filled,
+                   engine.lanes_per_shard(), st.queue_high_water);
       std::fprintf(stderr,
                    "failures: %llu jobs failed | %llu backend fallbacks\n",
                    static_cast<unsigned long long>(st.failed),
