@@ -19,8 +19,9 @@
 //    alone; an injected fault or a dispatch error that survives every tier
 //    marks ONLY the jobs of that dispatch (one popped run) as failed; every
 //    other job completes normally. Invariant: submitted == completed +
-//    failed, exactly, at every quiescent point (mirrored by the Prometheus
-//    counters).
+//    failed, exactly, at every quiescent point. stats(), the
+//    kvx_engine_*_total series and post-mortem dumps all read one counter
+//    block per engine (kvx/obs/engine_counters.hpp), so they cannot drift.
 //  * Lane filling — workers pop runs of jobs (batch_window, default 4·SN)
 //    and hand each run to ParallelSha3::sponge_batch as one call, whatever
 //    the algorithms, lengths and keys in it: every SN lane keeps its own
@@ -53,10 +54,6 @@
 namespace kvx::obs {
 class Gauge;
 class Summary;
-namespace pm {
-struct EngineMirror;
-struct EngineShardMirror;
-}  // namespace pm
 }  // namespace kvx::obs
 
 namespace kvx::engine {
@@ -147,11 +144,12 @@ class BatchHashEngine {
   /// lock-free backpressure signal servers compare against max_queue; see
   /// also in_flight() for queued + executing.
   [[nodiscard]] usize queue_depth() const noexcept { return queue_.depth(); }
-  /// Jobs submitted but not yet retired (queued or executing). Takes the
-  /// state mutex briefly; cheap enough for per-event-loop-iteration use.
-  [[nodiscard]] u64 in_flight() const {
-    std::lock_guard lock(state_mutex_);
-    return submitted_ - retired_;
+  /// Jobs submitted but not yet retired (queued or executing). Lock-free;
+  /// cheap enough for per-event-loop-iteration use.
+  [[nodiscard]] u64 in_flight() const noexcept {
+    const u64 retired = counters_.failed.load(std::memory_order_acquire) +
+                        counters_.completed.load(std::memory_order_acquire);
+    return counters_.submitted.load(std::memory_order_acquire) - retired;
   }
   /// Snapshot of the engine counters (thread-safe at any time).
   [[nodiscard]] EngineStats stats() const;
@@ -174,20 +172,12 @@ class BatchHashEngine {
     }
   };
 
-  /// Cache-line-aligned so one shard's stats churn never false-shares with
-  /// its neighbour (shards are also separately heap-allocated).
+  /// One worker's accelerator (its counters are counters_.shard(index)),
+  /// cache-line-aligned so neighbouring workers never false-share.
   struct alignas(64) Shard {
     std::unique_ptr<core::ParallelSha3> accel;
-    ShardStats stats;        ///< guarded by state_mutex_
     AccelView accel_view;    ///< guarded by state_mutex_; set on retire
-    /// Cumulative accel->backend_fallbacks() already accounted for, so
-    /// dispatch-time demotions are attributed per batch by diffing the
-    /// accelerator's monotone counter (worker thread only).
-    u64 fallbacks_seen = 0;
     unsigned index = 0;      ///< dense shard id (flight-recorder dispatch tag)
-    /// Post-mortem mirror slot this shard keeps in sync (null when the
-    /// engine got no mirror, or for shards beyond the mirror's capacity).
-    obs::pm::EngineShardMirror* mirror = nullptr;
   };
 
   void worker_loop(unsigned index, Shard& shard);
@@ -207,13 +197,13 @@ class BatchHashEngine {
   /// Move ready_ to the end of `out` (a swap when `out` is empty) and
   /// return the count moved. Caller holds state_mutex_.
   usize take_ready_locked(std::vector<JobResult>& out);
-  /// Push submitted/completed/failed into the post-mortem mirror (relaxed
-  /// stores; no-op without a mirror). Caller holds state_mutex_.
-  void sync_mirror_locked() noexcept;
   /// Poke the completion-notification fd, if one is set (one u64 write;
   /// failures ignored). Called after every retirement batch.
   void notify_retire() noexcept;
 
+  /// Every counter of this engine. First member: joins the engine table
+  /// before any dump can fire, leaves it after the workers joined.
+  obs::EngineCounters counters_;
   EngineConfig config_;
   usize window_;
   ShardedJobQueue queue_;
@@ -226,18 +216,12 @@ class BatchHashEngine {
   /// unbound in the destructor like the gauges.
   obs::Summary* latency_summary_ = nullptr;
   u64 latency_summary_token_ = 0;
-  /// Post-mortem stat mirror (null when kMaxEngines are already live);
-  /// released in the destructor.
-  obs::pm::EngineMirror* mirror_ = nullptr;
   /// Completion-notification fd (eventfd/pipe), -1 = disabled. The caller
   /// owns it; see set_notify_fd().
   std::atomic<int> notify_fd_{-1};
 
   mutable std::mutex state_mutex_;
-  std::condition_variable all_done_;
-  u64 submitted_ = 0;   ///< total jobs accepted
-  u64 retired_ = 0;     ///< jobs with an outcome recorded (ok or failed)
-  u64 failed_ = 0;      ///< subset of retired_ carrying a per-job error
+  std::condition_variable all_done_;  ///< waits on counters_' job totals
   bool closed_ = false;
   u64 backend_compile_ns_ = 0;  ///< trace compile+fuse time at construction
   std::chrono::steady_clock::time_point start_time_;

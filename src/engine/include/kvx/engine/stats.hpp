@@ -5,29 +5,12 @@
 #include <vector>
 
 #include "kvx/common/types.hpp"
-#include "kvx/obs/step_cycles.hpp"
+#include "kvx/obs/engine_counters.hpp"
 
 namespace kvx::engine {
 
-/// Per-worker-shard counters. A shard owns one simulated accelerator
-/// (ParallelSha3) and processes whole job batches at a time.
-struct ShardStats {
-  u64 jobs = 0;               ///< jobs completed (successfully) by this shard
-  u64 failures = 0;           ///< jobs retired with a per-job error
-  /// Backend demotions (jit → host-simd → fused → trace → interpreter).
-  u64 fallbacks = 0;
-  u64 bytes = 0;              ///< message bytes hashed
-  u64 dispatches = 0;         ///< batches popped from the queue
-  u64 sim_cycles = 0;         ///< simulated accelerator cycles consumed
-  u64 permutations = 0;       ///< Keccak state-permutations performed
-  /// Accelerator permutation dispatches; permutations / permutation_batches
-  /// is the mean number of SN lanes filled per dispatch.
-  u64 permutation_batches = 0;
-  u64 host_ns = 0;            ///< host wall time spent inside dispatches
-  /// Per-step attribution of sim_cycles (θ/ρπ/χι/absorb/other);
-  /// step_cycles.total == sim_cycles, exactly, on every backend.
-  obs::StepCycleStats step_cycles;
-};
+/// Per-worker-shard counters (kvx/obs/engine_counters.hpp).
+using ShardStats = obs::ShardStats;
 
 /// Submit-to-retire job latency percentiles (host wall time).
 ///
@@ -56,7 +39,8 @@ struct ThroughputStats {
   double sim_cycles_per_sec = 0.0;
 };
 
-/// Whole-engine counters.
+/// Whole-engine counters; the counts come from the engine's
+/// obs::EngineCounters, as the kvx_engine_*_total series and dumps do.
 struct EngineStats {
   u64 submitted = 0;          ///< jobs accepted by submit()
   u64 completed = 0;          ///< jobs retired successfully (digest available)
@@ -96,18 +80,7 @@ struct EngineStats {
 
   [[nodiscard]] ShardStats totals() const noexcept {
     ShardStats t;
-    for (const ShardStats& s : shards) {
-      t.jobs += s.jobs;
-      t.failures += s.failures;
-      t.fallbacks += s.fallbacks;
-      t.bytes += s.bytes;
-      t.dispatches += s.dispatches;
-      t.sim_cycles += s.sim_cycles;
-      t.permutations += s.permutations;
-      t.permutation_batches += s.permutation_batches;
-      t.host_ns += s.host_ns;
-      t.step_cycles += s.step_cycles;
-    }
+    for (const ShardStats& s : shards) t += s;
     return t;
   }
 

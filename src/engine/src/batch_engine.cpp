@@ -31,61 +31,14 @@ namespace {
 /// every job retired so far.
 constexpr usize kMaxLatencySamples = 65536;
 
-/// Engine metrics, registered once in the process-wide registry. Counter
-/// increments are lock-free on the caller's stripe, so touching these from
-/// every dispatch adds nothing measurable next to a simulator batch.
-struct EngineMetrics {
-  obs::Counter& jobs_submitted;
-  obs::Counter& jobs_completed;
-  obs::Counter& job_failures;
-  obs::Counter& fallbacks;
-  obs::Counter& bytes_hashed;
-  obs::Counter& dispatches;
-  obs::Counter& sim_cycles;
-  obs::Counter& permutations;
-  obs::Counter& permutation_batches;
-  obs::Counter& step_theta;
-  obs::Counter& step_rho_pi;
-  obs::Counter& step_chi_iota;
-  obs::Counter& step_other;
-  obs::Histogram& job_latency_ns;
-
-  static EngineMetrics& get() {
-    auto& r = obs::MetricsRegistry::global();
-    static EngineMetrics m{
-        r.counter("kvx_engine_jobs_submitted_total",
-                  "Jobs accepted by BatchHashEngine::submit"),
-        r.counter("kvx_engine_jobs_completed_total",
-                  "Jobs retired successfully (digest available)"),
-        r.counter("kvx_engine_job_failures_total",
-                  "Jobs retired with a per-job error"),
-        r.counter(
-            "kvx_engine_fallbacks_total",
-            "Backend demotions (jit->host-simd->fused->trace->interpreter)"),
-        r.counter("kvx_engine_bytes_hashed_total", "Message bytes hashed"),
-        r.counter("kvx_engine_dispatches_total",
-                  "Job batches dispatched to shard accelerators"),
-        r.counter("kvx_engine_sim_cycles_total",
-                  "Simulated accelerator cycles consumed"),
-        r.counter("kvx_engine_permutations_total",
-                  "Keccak state-permutations performed"),
-        r.counter("kvx_engine_permutation_batches_total",
-                  "Accelerator permutation dispatches (each permutes up to SN "
-                  "states in lockstep)"),
-        r.counter("kvx_engine_step_cycles_theta_total",
-                  "Simulated cycles attributed to the theta step"),
-        r.counter("kvx_engine_step_cycles_rho_pi_total",
-                  "Simulated cycles attributed to the rho+pi steps"),
-        r.counter("kvx_engine_step_cycles_chi_iota_total",
-                  "Simulated cycles attributed to the chi+iota steps"),
-        r.counter("kvx_engine_step_cycles_other_total",
-                  "Simulated cycles attributed to permutation loop control"),
-        r.histogram("kvx_engine_job_latency_ns",
-                    "Submit-to-retire job latency (host wall time)"),
-    };
-    return m;
-  }
-};
+/// Submit-to-retire latency histogram, registered once in the process-wide
+/// registry (the kvx_engine_*_total counters are bound to obs::engine_total).
+obs::Histogram& latency_histogram() {
+  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
+      "kvx_engine_job_latency_ns",
+      "Submit-to-retire job latency (host wall time)");
+  return h;
+}
 
 /// Best-effort worker pinning: worker `index` goes to host CPU
 /// index mod hardware_concurrency. Failure is silently ignored — pinning is
@@ -159,7 +112,8 @@ u64 reservoir_pct(std::vector<u64>& lat, double p) {
 }  // namespace
 
 BatchHashEngine::BatchHashEngine(const EngineConfig& config)
-    : config_(config),
+    : counters_(config.threads),
+      config_(config),
       window_(config.batch_window != 0 ? config.batch_window
                                        : 4 * config.accel.sn()),
       queue_(config.threads, config.max_queue),
@@ -180,51 +134,37 @@ BatchHashEngine::BatchHashEngine(const EngineConfig& config)
   // hits add nothing, truthfully).
   const sim::TraceCacheStats tc0 = sim::TraceCache::global().stats();
   shards_.reserve(config_.threads);
-  u64 construction_fallbacks = 0;
   for (unsigned t = 0; t < config_.threads; ++t) {
     auto shard = std::make_unique<Shard>();
     shard->index = t;
     shard->accel = std::make_unique<core::ParallelSha3>(config_.accel, program);
     // Construction-time demotions (trace compile rejected, genuinely or by
     // an injected fault) are fallbacks too — count them before any job runs.
-    const u64 fb = shard->accel->backend_fallbacks();
-    if (fb != 0) EngineMetrics::get().fallbacks.inc(fb);
-    shard->stats.fallbacks += fb;
-    shard->fallbacks_seen = fb;
+    counters_.shard(t).add(obs::kShardFallbacks,
+                           shard->accel->backend_fallbacks());
     shard->accel_view = AccelView::of(*shard->accel);
-    construction_fallbacks += fb;
     shards_.push_back(std::move(shard));
   }
   const sim::TraceCacheStats tc1 = sim::TraceCache::global().stats();
   backend_compile_ns_ =
       (tc1.compile_ns - tc0.compile_ns) + (tc1.fuse_ns - tc0.fuse_ns);
-  // Build info + process self-metrics ride along with every engine: both
-  // are idempotent and re-register after a test's registry reset.
+  // Build info, process self-metrics and the engine-total bindings ride
+  // along with every engine (all idempotent).
   obs::publish_build_info(
       std::string(sim::host_simd_isa_name(
           sim::host_simd_dispatch_isa(config_.accel.sn()))),
       sim::jit_supported() ? "on" : "off");
   obs::register_process_metrics();
-  if (construction_fallbacks != 0) {
+  obs::bind_engine_totals();
+  if (counters_.total(obs::kShardFallbacks) != 0) {
     obs::pm::auto_dump("backend_demotion_at_construction");
   }
-  // Post-mortem stat mirror: relaxed-atomic copies of the engine totals and
-  // per-shard counters the crash handler can scrape without locks.
-  mirror_ = obs::pm::claim_engine_mirror();
-  if (mirror_ != nullptr) {
-    const u32 mirrored = static_cast<u32>(
-        std::min<usize>(shards_.size(), obs::pm::kMaxShards));
-    for (u32 s = 0; s < mirrored; ++s) {
-      shards_[s]->mirror = &mirror_->shards[s];
-    }
-    mirror_->shard_count.store(mirrored, std::memory_order_relaxed);
-  }
   // Lock-order discipline: a scrape holds the registry mutex while it
-  // evaluates the summary callback, which takes state_mutex_. Constructing
-  // EngineMetrics lazily from a worker (under state_mutex_) would take the
-  // registry mutex in the opposite order — so force construction here,
-  // before any worker exists.
-  (void)EngineMetrics::get();
+  // evaluates the summary callback, which takes state_mutex_. Registering
+  // the histogram lazily from a worker (under state_mutex_) would take the
+  // registry mutex in the opposite order — so force it here, before any
+  // worker exists.
+  (void)latency_histogram();
   // Queue-depth gauges are *bound*, not set: every scrape evaluates the
   // live ring depths, so the exported values can neither go stale nor race
   // a push/pop that lands between update and scrape. One aggregate gauge
@@ -284,16 +224,13 @@ BatchHashEngine::~BatchHashEngine() {
   if (latency_summary_ != nullptr) {
     latency_summary_->unbind(latency_summary_token_);
   }
-  obs::pm::release_engine_mirror(mirror_);
-  mirror_ = nullptr;
 }
 
 void BatchHashEngine::record_latency_locked(u64 sample_ns, u64 flight_seq) {
   if (flight_seq != 0) {
-    EngineMetrics::get().job_latency_ns.observe_exemplar(sample_ns,
-                                                         flight_seq);
+    latency_histogram().observe_exemplar(sample_ns, flight_seq);
   } else {
-    EngineMetrics::get().job_latency_ns.observe(sample_ns);
+    latency_histogram().observe(sample_ns);
   }
   latency_max_ns_ = std::max(latency_max_ns_, sample_ns);
   latency_observed_ += 1;
@@ -324,13 +261,6 @@ void BatchHashEngine::notify_retire() noexcept {
 #endif
 }
 
-void BatchHashEngine::sync_mirror_locked() noexcept {
-  if (mirror_ == nullptr) return;
-  mirror_->submitted.store(submitted_, std::memory_order_relaxed);
-  mirror_->completed.store(retired_ - failed_, std::memory_order_relaxed);
-  mirror_->failed.store(failed_, std::memory_order_relaxed);
-}
-
 void BatchHashEngine::fail_job_locked(u64 seq, u64 submit_ns,
                                       std::string error) {
   const u64 fseq = obs::FlightRecorder::global().record(
@@ -340,11 +270,8 @@ void BatchHashEngine::fail_job_locked(u64 seq, u64 submit_ns,
   r.seq = seq;
   r.error = std::move(error);
   r.flight_seq = fseq;
-  retired_ += 1;
-  failed_ += 1;
-  EngineMetrics::get().job_failures.inc();
+  obs::single_writer_add(counters_.failed, 1);
   record_latency_locked(steady_now_ns() - submit_ns, fseq);
-  sync_mirror_locked();
   all_done_.notify_all();
 }
 
@@ -355,9 +282,9 @@ u64 BatchHashEngine::submit(HashJob job) {
   {
     std::lock_guard lock(state_mutex_);
     if (closed_) throw Error("submit after close()");
-    seq = submitted_++;
+    seq = counters_.submitted.load(std::memory_order_relaxed);
+    obs::single_writer_add(counters_.submitted, 1);
   }
-  EngineMetrics::get().jobs_submitted.inc();
   obs::FlightRecorder::global().record(obs::FlightEventType::kJobSubmit, 0,
                                        seq, 1);
   if (!invalid.empty()) {
@@ -409,17 +336,16 @@ u64 BatchHashEngine::submit_batch(std::span<const HashJob> jobs) {
     // and retires the malformed jobs — concurrent submit_batch callers each
     // get a dense, disjoint range.
     std::lock_guard lock(state_mutex_);
-    first = submitted_;
+    first = counters_.submitted.load(std::memory_order_relaxed);
     if (jobs.empty()) return first;
     if (closed_) throw Error("submit after close()");
-    submitted_ += jobs.size();
+    obs::single_writer_add(counters_.submitted, jobs.size());
     for (usize i = 0; i < jobs.size(); ++i) {
       if (ok[i] == 0) {
         fail_job_locked(first + i, submit_ns, std::move(errors[i]));
       }
     }
   }
-  EngineMetrics::get().jobs_submitted.inc(jobs.size());
   obs::FlightRecorder::global().record(obs::FlightEventType::kJobSubmit, 0,
                                        first, jobs.size());
   if (valid != jobs.size()) {
@@ -477,7 +403,11 @@ usize BatchHashEngine::drain_batch(std::vector<JobResult>& out) {
   usize n = 0;
   {
     std::unique_lock lock(state_mutex_);
-    all_done_.wait(lock, [&] { return retired_ == submitted_; });
+    all_done_.wait(lock, [&] {
+      return counters_.completed.load(std::memory_order_relaxed) +
+                 counters_.failed.load(std::memory_order_relaxed) ==
+             counters_.submitted.load(std::memory_order_relaxed);
+    });
     // With every submitted job retired, ready_ holds exactly the ids not
     // collected yet; sorting them restores submission order.
     n = take_ready_locked(out);
@@ -496,17 +426,21 @@ usize BatchHashEngine::try_drain_ready(std::vector<JobResult>& out) {
 
 EngineStats BatchHashEngine::stats() const {
   EngineStats st;
+  // Counters are read without the state mutex; submitted loads last, so no
+  // snapshot shows more retired than submitted.
+  st.failed = counters_.failed.load(std::memory_order_acquire);
+  st.completed = counters_.completed.load(std::memory_order_acquire);
+  st.submitted = counters_.submitted.load(std::memory_order_acquire);
+  st.shards.reserve(counters_.shard_count());
+  for (usize s = 0; s < counters_.shard_count(); ++s) {
+    st.shards.push_back(counters_.shard(s).snapshot());
+  }
   std::vector<u64> lat;
   u64 observed = 0;
   u64 max_ns = 0;
   AccelView view;
   {
     std::lock_guard lock(state_mutex_);
-    st.submitted = submitted_;
-    st.completed = retired_ - failed_;
-    st.failed = failed_;
-    st.shards.reserve(shards_.size());
-    for (const auto& shard : shards_) st.shards.push_back(shard->stats);
     // All shards share one program + config, so shard 0 is representative.
     if (!shards_.empty()) view = shards_.front()->accel_view;
     lat = latency_ns_;
@@ -565,10 +499,10 @@ void BatchHashEngine::worker_loop(unsigned index, Shard& shard) {
 void BatchHashEngine::fail_batch(Shard& shard,
                                  const std::vector<QueuedJob>& batch,
                                  const char* what) {
-  EngineMetrics& m = EngineMetrics::get();
   obs::FlightRecorder& fr = obs::FlightRecorder::global();
   const u64 err_hash = obs::flight_hash(what);
   const u64 retire_ns = steady_now_ns();
+  counters_.shard(shard.index).add(obs::kShardFailures, batch.size());
   {
     std::lock_guard lock(state_mutex_);
     for (const QueuedJob& qj : batch) {
@@ -578,13 +512,9 @@ void BatchHashEngine::fail_batch(Shard& shard,
       r.seq = qj.seq;
       r.error = what;
       r.flight_seq = fseq;
-      retired_ += 1;
-      failed_ += 1;
-      shard.stats.failures += 1;
-      m.job_failures.inc();
       record_latency_locked(retire_ns - qj.submit_ns, fseq);
     }
-    sync_mirror_locked();
+    obs::single_writer_add(counters_.failed, batch.size());
     all_done_.notify_all();
   }
   notify_retire();
@@ -645,39 +575,30 @@ void BatchHashEngine::process_batch(Shard& shard,
     for (JobResult& r : outcomes) r.demotion_path = path;
   }
 
+  // This dispatch's counter deltas, added to the shard's block before the
+  // retire below publishes the jobs: whoever sees them retired (drain,
+  // stats(), /metrics) sees their counters too.
   const core::BatchStats after = accel.stats();
-  const u64 host_ns = static_cast<u64>(
+  obs::ShardCounters& counters = counters_.shard(shard.index);
+  const usize failed_jobs = hashed ? 0 : batch.size();
+  ShardStats d;
+  d.jobs = batch.size() - failed_jobs;
+  d.failures = failed_jobs;
+  // Backend demotions this batch caused: the accelerator's monotone count
+  // less the shard's (this worker is the shard's only writer).
+  d.fallbacks = accel.backend_fallbacks() -
+                counters.v[obs::kShardFallbacks].load(std::memory_order_relaxed);
+  d.bytes = hashed ? batch_bytes : 0;  // only hashed bytes count
+  d.dispatches = 1;
+  d.sim_cycles = after.accelerator_cycles - before.accelerator_cycles;
+  d.permutations = after.permutations - before.permutations;
+  d.permutation_batches =
+      after.permutation_batches - before.permutation_batches;
+  d.host_ns = static_cast<u64>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count());
-  const u64 cycles = after.accelerator_cycles - before.accelerator_cycles;
-  const u64 perms = after.permutations - before.permutations;
-  const u64 perm_batches =
-      after.permutation_batches - before.permutation_batches;
-  const obs::StepCycleStats steps = after.step_cycles.minus(before.step_cycles);
-  // Dispatch-time backend demotions this batch caused: diff the
-  // accelerator's monotone fallback counter (worker thread only, so no
-  // other batch can interleave on this shard).
-  const u64 accel_fallbacks = accel.backend_fallbacks();
-  const u64 fallbacks = accel_fallbacks - shard.fallbacks_seen;
-  shard.fallbacks_seen = accel_fallbacks;
-
-  const usize ok_jobs = hashed ? batch.size() : 0;
-  const usize failed_jobs = batch.size() - ok_jobs;
-  const u64 bytes = hashed ? batch_bytes : 0;  // only hashed bytes count
-
-  EngineMetrics& m = EngineMetrics::get();
-  m.jobs_completed.inc(ok_jobs);
-  if (failed_jobs != 0) m.job_failures.inc(failed_jobs);
-  if (fallbacks != 0) m.fallbacks.inc(fallbacks);
-  m.bytes_hashed.inc(bytes);
-  m.dispatches.inc();
-  m.sim_cycles.inc(cycles);
-  m.permutations.inc(perms);
-  m.permutation_batches.inc(perm_batches);
-  m.step_theta.inc(steps.theta);
-  m.step_rho_pi.inc(steps.rho_pi);
-  m.step_chi_iota.inc(steps.chi_iota);
-  m.step_other.inc(steps.other);
+  d.step_cycles = after.step_cycles.minus(before.step_cycles);
+  counters.add(d);
 
   // One retire event covers the whole batch; failed jobs additionally get
   // their own kJobFail event so kvx-doctor can anchor a timeline window on
@@ -712,37 +633,15 @@ void BatchHashEngine::process_batch(Shard& shard,
       // failures would skew p50/p99.9 toward the surviving jobs.
       record_latency_locked(retire_ns - batch[i].submit_ns, fseq);
     }
-    retired_ += batch.size();
-    failed_ += failed_jobs;
-    shard.stats.jobs += ok_jobs;
-    shard.stats.failures += failed_jobs;
-    shard.stats.fallbacks += fallbacks;
-    shard.stats.bytes += bytes;
-    shard.stats.dispatches += 1;
-    shard.stats.sim_cycles += cycles;
-    shard.stats.permutations += perms;
-    shard.stats.permutation_batches += perm_batches;
-    shard.stats.host_ns += host_ns;
-    shard.stats.step_cycles += steps;
-    sync_mirror_locked();
-    if (shard.mirror != nullptr) {
-      obs::pm::EngineShardMirror& sm = *shard.mirror;
-      sm.jobs.store(shard.stats.jobs, std::memory_order_relaxed);
-      sm.failures.store(shard.stats.failures, std::memory_order_relaxed);
-      sm.fallbacks.store(shard.stats.fallbacks, std::memory_order_relaxed);
-      sm.bytes.store(shard.stats.bytes, std::memory_order_relaxed);
-      sm.dispatches.store(shard.stats.dispatches, std::memory_order_relaxed);
-      sm.sim_cycles.store(shard.stats.sim_cycles, std::memory_order_relaxed);
-      sm.permutations.store(shard.stats.permutations,
-                            std::memory_order_relaxed);
-    }
+    obs::single_writer_add(counters_.completed, d.jobs);
+    obs::single_writer_add(counters_.failed, d.failures);
     batch.clear();
     all_done_.notify_all();
   }
   notify_retire();
   // Post-mortem triggers run outside state_mutex_ — a dump scrapes the
   // metrics registry, and the scrape path may re-enter engine callbacks.
-  if (fallbacks != 0) obs::pm::auto_dump("backend_demotion");
+  if (d.fallbacks != 0) obs::pm::auto_dump("backend_demotion");
   if (failed_jobs != 0) obs::pm::auto_dump("job_failure");
 }
 

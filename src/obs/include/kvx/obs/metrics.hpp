@@ -48,25 +48,40 @@ struct alignas(64) PaddedU64 {
 
 }  // namespace detail
 
-/// Monotone counter. inc() is wait-free on the caller's stripe.
+/// Monotone counter. inc() is wait-free on the caller's stripe. A counter
+/// bound to a lock-free, async-signal-safe function instead reports fn(arg)
+/// on every read, the post-mortem scrape included (the engine totals are
+/// bound to obs::engine_total this way).
 class Counter {
  public:
+  using Source = u64 (*)(u32 arg) noexcept;
+
   void inc(u64 delta = 1) noexcept {
     stripes_[detail::stripe_index()].value.fetch_add(
         delta, std::memory_order_relaxed);
   }
 
-  /// Aggregated value across all stripes.
+  /// Bound source's value, or the sum across all stripes.
   [[nodiscard]] u64 value() const noexcept {
+    if (const Source fn = source_.load(std::memory_order_acquire)) {
+      return fn(source_arg_.load(std::memory_order_relaxed));
+    }
     u64 sum = 0;
     for (const auto& s : stripes_) sum += s.value.load(std::memory_order_relaxed);
     return sum;
+  }
+
+  void bind(Source fn, u32 arg) noexcept {
+    source_arg_.store(arg, std::memory_order_relaxed);
+    source_.store(fn, std::memory_order_release);
   }
 
  private:
   friend class MetricsRegistry;
   Counter() = default;
   detail::PaddedU64 stripes_[detail::kStripes];
+  std::atomic<Source> source_{nullptr};
+  std::atomic<u32> source_arg_{0};
 };
 
 /// Last-write-wins gauge (queue depth, coverage percentages, ...). Stored as
@@ -268,9 +283,6 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
   [[nodiscard]] std::string to_prometheus() const;
   [[nodiscard]] std::string to_json() const;
-
-  /// Drop every metric (tests only — outstanding references go stale).
-  void reset();
 
   // --- Async-signal-safe scrape support (post-mortem dumps) ---------------
   // Registration also appends each entry to a fixed, append-only side index

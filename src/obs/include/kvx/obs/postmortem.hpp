@@ -1,5 +1,5 @@
 // Crash post-mortems: async-signal-safe dumps of the flight recorder, the
-// metrics registry, per-engine/per-shard stat mirrors and build info.
+// metrics registry, every live engine's counters and build info.
 //
 // Two producers write the same versioned binary format (see below):
 //  * install_crash_handler() hooks the fatal signals (SIGSEGV, SIGBUS,
@@ -13,13 +13,13 @@
 //    auto_dump(reason) is the rate-capped variant the engine calls on every
 //    backend demotion and per-job failure; it is a no-op until enabled.
 //
-// Configuration: set_dump_dir()/set_auto_dump()/install_crash_handler()
+// Configuration: set_dump_dir()/install_crash_handler()
 // explicitly, or export KVX_POSTMORTEM=<dir> and let init_from_env() (run
 // by every BatchHashEngine construction) switch everything on at once.
 // KVX_POSTMORTEM_MAX caps auto dumps per process (default 4; explicit
 // dump_now() calls are never capped).
 //
-// Dump format, version 1 (little-endian, packed):
+// Dump format, version 2 (little-endian, packed):
 //   header : magic "KVXPMDMP" | u32 version | u32 section_count | u64 pid
 //   section: u32 kind | u32 reserved | u64 payload_bytes | payload
 //   kinds  : 1 reason     — u32 signal | u32 len | bytes
@@ -33,27 +33,27 @@
 //                           counter: u64 value / gauge: f64 bits /
 //                           histogram: bounds | per-bucket counts | sum |
 //                           per-bucket exemplar (value, flight seq) pairs
-//            5 engines    — u32 count; per engine: u32 shard_count|u32 pad|
-//                           u64 submitted|completed|failed; per shard 7×u64
-//                           (jobs, failures, fallbacks, dispatches,
-//                            sim_cycles, permutations, bytes)
+//            5 engines    — u32 count; per live engine: u32 shard_count |
+//                           u32 pad | u64 submitted|completed|failed; per
+//                           shard 16×u64 (every ShardStats counter, in
+//                           ShardField order)
 // Constraints the format inherits from signal context: bound gauges report
 // their last stored value (callbacks cannot run under a signal), summary
 // metrics are omitted (they are derived under the engine lock), and a
 // mid-flight dump may legitimately show submitted > completed + failed.
 #pragma once
 
-#include <atomic>
 #include <string>
 #include <vector>
 
 #include "kvx/common/types.hpp"
+#include "kvx/obs/engine_counters.hpp"
 #include "kvx/obs/flight_recorder.hpp"
 #include "kvx/obs/metrics.hpp"
 
 namespace kvx::obs::pm {
 
-inline constexpr u32 kDumpVersion = 1;
+inline constexpr u32 kDumpVersion = 2;
 inline constexpr char kDumpMagic[8] = {'K', 'V', 'X', 'P', 'M', 'D', 'M', 'P'};
 
 enum class SectionKind : u32 {
@@ -65,44 +65,11 @@ enum class SectionKind : u32 {
 };
 
 // ---------------------------------------------------------------------------
-// Engine stat mirrors: POD blocks of relaxed atomics engines keep in sync so
-// the signal handler can scrape per-shard EngineStats without any lock.
-
-inline constexpr usize kMaxEngines = 8;
-inline constexpr usize kMaxShards = 32;
-
-struct EngineShardMirror {
-  std::atomic<u64> jobs{0};
-  std::atomic<u64> failures{0};
-  std::atomic<u64> fallbacks{0};
-  std::atomic<u64> dispatches{0};
-  std::atomic<u64> sim_cycles{0};
-  std::atomic<u64> permutations{0};
-  std::atomic<u64> bytes{0};
-};
-
-struct EngineMirror {
-  std::atomic<u32> in_use{0};
-  std::atomic<u32> shard_count{0};
-  std::atomic<u64> submitted{0};
-  std::atomic<u64> completed{0};
-  std::atomic<u64> failed{0};
-  EngineShardMirror shards[kMaxShards];
-};
-
-/// Claim a mirror slot (nullptr once kMaxEngines engines are live — such an
-/// engine simply stays invisible to dumps).
-[[nodiscard]] EngineMirror* claim_engine_mirror() noexcept;
-void release_engine_mirror(EngineMirror* mirror) noexcept;
-
-// ---------------------------------------------------------------------------
 // Configuration + dump entry points.
 
 /// Directory dumps are written to ("." until configured). Also enables
 /// auto dumps.
 void set_dump_dir(const std::string& dir);
-void set_auto_dump(bool enabled) noexcept;
-[[nodiscard]] bool auto_dump_enabled() noexcept;
 
 /// Hook SIGSEGV/SIGBUS/SIGILL/SIGFPE/SIGABRT (on an alternate stack) and
 /// std::terminate. Idempotent; chains to the default disposition after the
@@ -121,9 +88,6 @@ std::string dump_now(const std::string& reason);
 /// written (KVX_POSTMORTEM_MAX, default 4). The engine calls this on every
 /// backend demotion and per-job failure.
 void auto_dump(const char* reason) noexcept;
-
-/// Dumps written by this process so far (crash + explicit + auto).
-[[nodiscard]] u64 dump_count() noexcept;
 
 /// One-shot: if KVX_POSTMORTEM is set, adopt it as the dump directory,
 /// enable auto dumps and install the crash handler. Called by every
@@ -151,21 +115,11 @@ struct DumpMetric {
   std::vector<std::pair<u64, u64>> exemplars;  ///< (value, flight seq) per bucket
 };
 
-struct DumpShard {
-  u64 jobs = 0;
-  u64 failures = 0;
-  u64 fallbacks = 0;
-  u64 dispatches = 0;
-  u64 sim_cycles = 0;
-  u64 permutations = 0;
-  u64 bytes = 0;
-};
-
 struct DumpEngine {
   u64 submitted = 0;
   u64 completed = 0;
   u64 failed = 0;
-  std::vector<DumpShard> shards;
+  std::vector<ShardStats> shards;
 };
 
 struct PostmortemDump {

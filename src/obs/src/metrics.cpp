@@ -508,12 +508,4 @@ std::string MetricsRegistry::to_json() const {
          "}}";
 }
 
-void MetricsRegistry::reset() {
-  std::lock_guard lock(mutex_);
-  // Drop the signal-safe index before the entries it points into: a reader
-  // (crash handler) that raced a reset sees count 0, never a dangling entry.
-  pm_count_.store(0, std::memory_order_release);
-  entries_.clear();
-}
-
 }  // namespace kvx::obs

@@ -32,7 +32,6 @@ constexpr usize kReasonMax = 256;
 char g_dump_dir[kDirMax] = ".";
 std::atomic<bool> g_auto_dump{false};
 std::atomic<u64> g_auto_cap{4};
-std::atomic<u64> g_dumps_written{0};
 std::atomic<u64> g_auto_dumps_written{0};
 
 char g_build_info[kBuildInfoMax];
@@ -67,9 +66,26 @@ class Writer {
       const usize take = len < room ? len : room;
       std::memcpy(buf_ + used_, p, take);
       used_ += take;
+      pos_ += take;
       p += take;
       len -= take;
     }
+  }
+  /// File offset of the next put (dumps are written from offset 0).
+  [[nodiscard]] u64 position() const noexcept { return pos_; }
+  /// Overwrite `len` (<= buffer size) bytes already put at `offset`, for
+  /// headers whose value is only known after their payload (lseek and
+  /// write are async-signal-safe).
+  void patch(u64 offset, const void* data, usize len) noexcept {
+    flush();
+    if (::lseek(fd_, static_cast<off_t>(offset), SEEK_SET) < 0) {
+      ok_ = false;
+      return;
+    }
+    std::memcpy(buf_, data, len);
+    used_ = len;
+    flush();
+    if (::lseek(fd_, 0, SEEK_END) < 0) ok_ = false;
   }
   void put_u32(u32 v) noexcept { put_bytes(&v, sizeof v); }
   void put_u64(u64 v) noexcept { put_bytes(&v, sizeof v); }
@@ -95,6 +111,7 @@ class Writer {
   int fd_;
   char buf_[512];
   usize used_ = 0;
+  u64 pos_ = 0;
   bool ok_ = true;
 };
 
@@ -142,60 +159,40 @@ bool build_path(char* out, usize cap, const char* dir, u64 pid,
 }
 
 // ---------------------------------------------------------------------------
-// Section payloads. Each section is written in two passes over the same
-// data: size_*() computes payload_bytes for the section header, write_*()
-// emits it. State that could move between the passes (ring `written`
-// cursors, metric count) is captured once up front so header and payload
-// always agree; slots that advance mid-write only change *values*, and
-// torn slots are emitted as zero records the parser skips.
+// Section payloads. Each section is written in one pass and its
+// payload_bytes patched into the header afterwards (write_section), so a
+// header always matches its payload even while rings, metrics and engines
+// change under the writer; slots that advance mid-write only change
+// *values*, and torn slots are emitted as zero records the parser skips.
 
-struct EventsPlan {
-  usize ring_count = 0;
-  u64 stored[FlightRecorder::kMaxRings];
-  u64 written[FlightRecorder::kMaxRings];
-  u32 index[FlightRecorder::kMaxRings];
-};
-
-void plan_events(EventsPlan& plan) noexcept {
-  const FlightRecorder& rec = FlightRecorder::global();
-  const usize n = rec.ring_count();
-  plan.ring_count = 0;
-  for (usize i = 0; i < n && i < FlightRecorder::kMaxRings; ++i) {
-    const FlightRecorder::Ring* ring = rec.ring_at(i);
-    if (ring == nullptr) continue;
-    const u64 written = ring->written.load(std::memory_order_acquire);
-    const usize k = plan.ring_count++;
-    plan.index[k] = ring->index;
-    plan.written[k] = written;
-    plan.stored[k] = written < FlightRecorder::kRingCapacity
-                         ? written
-                         : FlightRecorder::kRingCapacity;
-  }
+template <class Fn>
+void write_section(Writer& w, SectionKind kind, Fn&& payload) noexcept {
+  w.put_u32(static_cast<u32>(kind));
+  w.put_u32(0);
+  const u64 size_at = w.position();
+  w.put_u64(0);  // payload_bytes, patched below
+  payload();
+  const u64 bytes = w.position() - size_at - 8;
+  w.patch(size_at, &bytes, sizeof bytes);
 }
 
-u64 size_events(const EventsPlan& plan) noexcept {
-  u64 bytes = 8;  // ring_count + dropped_lo
-  for (usize i = 0; i < plan.ring_count; ++i) {
-    bytes += 8 + 16 + plan.stored[i] * 40;
-  }
-  return bytes;
-}
-
-void write_events(Writer& w, const EventsPlan& plan) noexcept {
+void write_events(Writer& w) noexcept {
   const FlightRecorder& rec = FlightRecorder::global();
-  w.put_u32(static_cast<u32>(plan.ring_count));
+  const usize n = std::min(rec.ring_count(), FlightRecorder::kMaxRings);
+  w.put_u32(static_cast<u32>(n));
   w.put_u32(static_cast<u32>(rec.dropped() & 0xFFFFFFFFull));
-  for (usize i = 0; i < plan.ring_count; ++i) {
-    w.put_u32(plan.index[i]);
+  for (usize i = 0; i < n; ++i) {
+    // Non-null below ring_count() (rings are published before the count
+    // and never freed).
+    const FlightRecorder::Ring* ring = rec.ring_at(i);
+    const u64 written =
+        ring != nullptr ? ring->written.load(std::memory_order_acquire) : 0;
+    const u64 stored = std::min<u64>(written, FlightRecorder::kRingCapacity);
+    w.put_u32(ring != nullptr ? ring->index : static_cast<u32>(i));
     w.put_u32(0);
-    w.put_u64(plan.written[i]);
-    w.put_u64(plan.stored[i]);
-    const FlightRecorder::Ring* ring = rec.ring_at(plan.index[i]);
-    for (u64 s = 0; s < plan.stored[i]; ++s) {
-      if (ring == nullptr) {  // unreachable (rings are never freed)
-        for (int f = 0; f < 5; ++f) w.put_u64(0);
-        continue;
-      }
+    w.put_u64(written);
+    w.put_u64(stored);
+    for (u64 s = 0; s < stored; ++s) {
       const FlightRecorder::Slot& slot = ring->slots[s];
       const u64 seq0 = slot.seq.load(std::memory_order_acquire);
       const u64 ns = slot.ns.load(std::memory_order_relaxed);
@@ -216,49 +213,13 @@ void write_events(Writer& w, const EventsPlan& plan) noexcept {
   }
 }
 
-u64 metric_payload_bytes(const MetricsRegistry::PmRead& m) noexcept {
-  u64 bytes = 16 + m.name_len;  // kind + name_len + bounds_len + pad + name
-  switch (m.kind) {
-    case MetricSample::Kind::kCounter:
-    case MetricSample::Kind::kGauge:
-      bytes += 8;
-      break;
-    case MetricSample::Kind::kHistogram:
-      // bounds | per-bucket counts | sum | per-bucket (ex_value, ex_seq)
-      bytes += m.bounds_len * 8 + (m.bounds_len + 1) * 8 + 8 +
-               (m.bounds_len + 1) * 16;
-      break;
-    case MetricSample::Kind::kSummary:
-      break;  // never indexed
-  }
-  return bytes;
-}
-
-u64 size_metrics(usize count) noexcept {
-  u64 bytes = 4;  // count
-  MetricsRegistry::PmRead m;
+void write_metrics(Writer& w) noexcept {
   const MetricsRegistry& reg = MetricsRegistry::global();
-  for (usize i = 0; i < count; ++i) {
-    if (!reg.pm_read(i, m)) continue;
-    bytes += metric_payload_bytes(m);
-  }
-  return bytes;
-}
-
-void write_metrics(Writer& w, usize count) noexcept {
+  const usize count = reg.pm_count();
   w.put_u32(static_cast<u32>(count));
   MetricsRegistry::PmRead m;
-  const MetricsRegistry& reg = MetricsRegistry::global();
   for (usize i = 0; i < count; ++i) {
-    if (!reg.pm_read(i, m)) {
-      // Keep header/payload agreement: emit an empty counter.
-      w.put_u32(static_cast<u32>(MetricSample::Kind::kCounter));
-      w.put_u32(0);
-      w.put_u32(0);
-      w.put_u32(0);
-      w.put_u64(0);
-      continue;
-    }
+    reg.pm_read(i, m);  // succeeds: i < pm_count(), which never shrinks
     w.put_u32(static_cast<u32>(m.kind));
     w.put_u32(static_cast<u32>(m.name_len));
     w.put_u32(static_cast<u32>(m.bounds_len));
@@ -290,50 +251,28 @@ void write_metrics(Writer& w, usize count) noexcept {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Engine mirror pool.
+static_assert(kShardFields == 16, "a new shard field changes the dump format");
 
-EngineMirror g_mirrors[kMaxEngines];
-
-usize count_engines() noexcept {
-  usize n = 0;
-  for (const auto& m : g_mirrors) {
-    if (m.in_use.load(std::memory_order_acquire) != 0) ++n;
-  }
-  return n;
-}
-
-u64 size_engines() noexcept {
-  u64 bytes = 4;
-  for (const auto& m : g_mirrors) {
-    if (m.in_use.load(std::memory_order_acquire) == 0) continue;
-    const u32 shards = m.shard_count.load(std::memory_order_relaxed);
-    bytes += 8 + 24 + static_cast<u64>(shards) * 56;
-  }
-  return bytes;
-}
-
+/// One walk of the engine table; the engine count is patched in after it,
+/// since engines can come and go while it runs.
 void write_engines(Writer& w) noexcept {
-  w.put_u32(static_cast<u32>(count_engines()));
-  for (const auto& m : g_mirrors) {
-    if (m.in_use.load(std::memory_order_acquire) == 0) continue;
-    const u32 shards = m.shard_count.load(std::memory_order_relaxed);
-    w.put_u32(shards);
+  const u64 count_at = w.position();
+  w.put_u32(0);  // engine count, patched below
+  u32 count = 0;
+  for_each_engine([&](const EngineCounters& e) {
+    w.put_u32(static_cast<u32>(e.shard_count()));
     w.put_u32(0);
-    w.put_u64(m.submitted.load(std::memory_order_relaxed));
-    w.put_u64(m.completed.load(std::memory_order_relaxed));
-    w.put_u64(m.failed.load(std::memory_order_relaxed));
-    for (u32 s = 0; s < shards && s < kMaxShards; ++s) {
-      const EngineShardMirror& sh = m.shards[s];
-      w.put_u64(sh.jobs.load(std::memory_order_relaxed));
-      w.put_u64(sh.failures.load(std::memory_order_relaxed));
-      w.put_u64(sh.fallbacks.load(std::memory_order_relaxed));
-      w.put_u64(sh.dispatches.load(std::memory_order_relaxed));
-      w.put_u64(sh.sim_cycles.load(std::memory_order_relaxed));
-      w.put_u64(sh.permutations.load(std::memory_order_relaxed));
-      w.put_u64(sh.bytes.load(std::memory_order_relaxed));
+    w.put_u64(e.submitted.load(std::memory_order_relaxed));
+    w.put_u64(e.completed.load(std::memory_order_relaxed));
+    w.put_u64(e.failed.load(std::memory_order_relaxed));
+    for (usize s = 0; s < e.shard_count(); ++s) {
+      for (const std::atomic<u64>& v : e.shard(s).v) {
+        w.put_u64(v.load(std::memory_order_relaxed));
+      }
     }
-  }
+    ++count;
+  });
+  w.patch(count_at, &count, sizeof count);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,50 +284,29 @@ bool write_dump_to(const char* path, int signal_no, const char* reason,
   if (fd < 0) return false;
 
   if (reason_len > kReasonMax) reason_len = kReasonMax;
-  EventsPlan plan;
-  plan_events(plan);
-  const usize metric_count = MetricsRegistry::global().pm_count();
-  const usize build_len = g_build_info_len.load(std::memory_order_acquire);
-
   Writer w(fd);
   // Header.
   w.put_bytes(kDumpMagic, sizeof kDumpMagic);
   w.put_u32(kDumpVersion);
   w.put_u32(5);  // section_count
   w.put_u64(static_cast<u64>(::getpid()));
-  // Reason.
-  w.put_u32(static_cast<u32>(SectionKind::kReason));
-  w.put_u32(0);
-  w.put_u64(8 + reason_len);
-  w.put_u32(static_cast<u32>(signal_no));
-  w.put_u32(static_cast<u32>(reason_len));
-  w.put_bytes(reason, reason_len);
-  // Build info.
-  w.put_u32(static_cast<u32>(SectionKind::kBuildInfo));
-  w.put_u32(0);
-  w.put_u64(4 + build_len);
-  w.put_u32(static_cast<u32>(build_len));
-  w.put_bytes(g_build_info, build_len);
-  // Events.
-  w.put_u32(static_cast<u32>(SectionKind::kEvents));
-  w.put_u32(0);
-  w.put_u64(size_events(plan));
-  write_events(w, plan);
-  // Metrics.
-  w.put_u32(static_cast<u32>(SectionKind::kMetrics));
-  w.put_u32(0);
-  w.put_u64(size_metrics(metric_count));
-  write_metrics(w, metric_count);
-  // Engines.
-  w.put_u32(static_cast<u32>(SectionKind::kEngines));
-  w.put_u32(0);
-  w.put_u64(size_engines());
-  write_engines(w);
+  write_section(w, SectionKind::kReason, [&] {
+    w.put_u32(static_cast<u32>(signal_no));
+    w.put_u32(static_cast<u32>(reason_len));
+    w.put_bytes(reason, reason_len);
+  });
+  write_section(w, SectionKind::kBuildInfo, [&] {
+    const usize len = g_build_info_len.load(std::memory_order_acquire);
+    w.put_u32(static_cast<u32>(len));
+    w.put_bytes(g_build_info, len);
+  });
+  write_section(w, SectionKind::kEvents, [&] { write_events(w); });
+  write_section(w, SectionKind::kMetrics, [&] { write_metrics(w); });
+  write_section(w, SectionKind::kEngines, [&] { write_engines(w); });
 
   w.flush();
   const bool ok = w.ok();
   ::close(fd);
-  if (ok) g_dumps_written.fetch_add(1, std::memory_order_relaxed);
   return ok;
 }
 
@@ -429,34 +347,6 @@ void fatal_signal_handler(int signo, siginfo_t*, void*) {
 
 }  // namespace
 
-EngineMirror* claim_engine_mirror() noexcept {
-  for (auto& m : g_mirrors) {
-    u32 expected = 0;
-    if (m.in_use.compare_exchange_strong(expected, 1,
-                                         std::memory_order_acq_rel)) {
-      m.shard_count.store(0, std::memory_order_relaxed);
-      m.submitted.store(0, std::memory_order_relaxed);
-      m.completed.store(0, std::memory_order_relaxed);
-      m.failed.store(0, std::memory_order_relaxed);
-      for (auto& sh : m.shards) {
-        sh.jobs.store(0, std::memory_order_relaxed);
-        sh.failures.store(0, std::memory_order_relaxed);
-        sh.fallbacks.store(0, std::memory_order_relaxed);
-        sh.dispatches.store(0, std::memory_order_relaxed);
-        sh.sim_cycles.store(0, std::memory_order_relaxed);
-        sh.permutations.store(0, std::memory_order_relaxed);
-        sh.bytes.store(0, std::memory_order_relaxed);
-      }
-      return &m;
-    }
-  }
-  return nullptr;
-}
-
-void release_engine_mirror(EngineMirror* mirror) noexcept {
-  if (mirror != nullptr) mirror->in_use.store(0, std::memory_order_release);
-}
-
 void set_dump_dir(const std::string& dir) {
   const usize len = dir.size() < kDirMax - 1 ? dir.size() : kDirMax - 1;
   std::memcpy(g_dump_dir, dir.data(), len);
@@ -470,14 +360,6 @@ void set_dump_dir(const std::string& dir) {
                    static_cast<u64>(::getpid()), "crash", 0, false),
         std::memory_order_release);
   }
-}
-
-void set_auto_dump(bool enabled) noexcept {
-  g_auto_dump.store(enabled, std::memory_order_release);
-}
-
-bool auto_dump_enabled() noexcept {
-  return g_auto_dump.load(std::memory_order_acquire);
 }
 
 void install_crash_handler() {
@@ -543,10 +425,6 @@ void auto_dump(const char* reason) noexcept {
     // dump_now allocates one std::string; swallow rather than crash the
     // failure path we are trying to document.
   }
-}
-
-u64 dump_count() noexcept {
-  return g_dumps_written.load(std::memory_order_relaxed);
 }
 
 void init_from_env() {
@@ -686,30 +564,18 @@ void parse_metrics(Reader& r, PostmortemDump& dump) {
 }
 
 void parse_engines(Reader& r, PostmortemDump& dump) {
+  // Counts are not range-checked: every engine and shard record consumes
+  // file bytes, so a garbage count ends in a truncated-dump error.
   const u32 count = r.read_u32();
-  if (count > kMaxEngines) {
-    throw Error("postmortem: engine count out of range");
-  }
   for (u32 i = 0; i < count; ++i) {
     DumpEngine e;
     const u32 shard_count = r.read_u32();
     (void)r.read_u32();  // pad
-    if (shard_count > kMaxShards) {
-      throw Error("postmortem: shard count out of range");
-    }
     e.submitted = r.read_u64();
     e.completed = r.read_u64();
     e.failed = r.read_u64();
     for (u32 s = 0; s < shard_count; ++s) {
-      DumpShard sh;
-      sh.jobs = r.read_u64();
-      sh.failures = r.read_u64();
-      sh.fallbacks = r.read_u64();
-      sh.dispatches = r.read_u64();
-      sh.sim_cycles = r.read_u64();
-      sh.permutations = r.read_u64();
-      sh.bytes = r.read_u64();
-      e.shards.push_back(sh);
+      for (u64* f : shard_fields(e.shards.emplace_back())) *f = r.read_u64();
     }
     dump.engines.push_back(std::move(e));
   }

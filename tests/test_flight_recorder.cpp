@@ -10,8 +10,10 @@
 //  * ring-wrap accounting (written keeps counting, stored caps at the ring
 //    capacity, the snapshot holds the NEWEST events);
 //  * dump_now() -> parse_dump() round-trip with a live engine: reason,
-//    build info, events, metrics and the per-shard engine mirror all
-//    survive the binary format;
+//    build info, events, metrics and every engine's counter block (every
+//    ShardStats field of every shard, however many engines and shards are
+//    live) survive the binary format, and the construction-demotion auto
+//    dump lists the engine it reports;
 //  * the trace-event export (flight_trace_json) — compile and dispatch
 //    spans rebuilt from a live fused engine, ring-wrap drop reporting, and
 //    no span for a dispatch whose retire was lost;
@@ -28,6 +30,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +42,7 @@
 #include "kvx/obs/metrics.hpp"
 #include "kvx/obs/postmortem.hpp"
 #include "kvx/sim/compiled_trace.hpp"
+#include "kvx/sim/fault_injector.hpp"
 
 namespace kvx {
 namespace {
@@ -472,7 +477,7 @@ TEST(Postmortem, DumpNowRoundTripsThroughParse) {
   EXPECT_EQ(latency->bucket_counts.size(), latency->bounds.size() + 1);
   EXPECT_EQ(latency->exemplars.size(), latency->bounds.size() + 1);
 
-  // Engine mirror: this engine is still alive, so its mirror must be in
+  // Engine counters: this engine is still alive, so its block must be in
   // the dump with the exact totals.
   ASSERT_FALSE(dump.engines.empty());
   bool mirror_found = false;
@@ -481,12 +486,98 @@ TEST(Postmortem, DumpNowRoundTripsThroughParse) {
         e.failed == 0 && e.shards.size() == 2) {
       mirror_found = true;
       u64 shard_jobs = 0;
-      for (const obs::pm::DumpShard& s : e.shards) shard_jobs += s.jobs;
+      for (const obs::ShardStats& s : e.shards) shard_jobs += s.jobs;
       EXPECT_EQ(shard_jobs, jobs.size());
     }
   }
   EXPECT_TRUE(mirror_found);
   std::remove(path.c_str());
+}
+
+TEST(Postmortem, ConstructionDemotionDumpListsItsEngine) {
+  // Regression: the backend_demotion_at_construction auto dump was written
+  // before the engine claimed its post-mortem stat mirror, so the dump never
+  // listed the engine whose demotion it reported. The engine's counter
+  // block now joins the engine table before any shard is built.
+  sim::TraceCache::global().clear();
+  const std::string dir = fresh_dump_dir("construction");
+  obs::pm::set_dump_dir(dir);  // also enables auto dumps
+  engine::EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+  cfg.accel.backend = sim::ExecBackend::kFusedTrace;
+  sim::FaultPlan plan;
+  plan.rate = 1.0;
+  plan.kinds = static_cast<u32>(sim::FaultKind::kCompileFail);
+  cfg.accel.fault_injector = std::make_shared<sim::FaultInjector>(plan);
+  engine::BatchHashEngine engine(cfg);
+  const u64 fallbacks = engine.stats().totals().fallbacks;
+  ASSERT_GT(fallbacks, 0u);
+
+  bool found = false;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    const obs::pm::PostmortemDump dump =
+        obs::pm::parse_dump(file.path().string());
+    if (dump.reason != "backend_demotion_at_construction") continue;
+    found = true;
+    ASSERT_EQ(dump.engines.size(), 1u);
+    const obs::pm::DumpEngine& e = dump.engines.front();
+    ASSERT_EQ(e.shards.size(), 2u);
+    // fused -> trace -> interpreter on each shard.
+    EXPECT_EQ(e.shards[0].fallbacks, 2u);
+    EXPECT_EQ(e.shards[1].fallbacks, 2u);
+    EXPECT_EQ(e.shards[0].fallbacks + e.shards[1].fallbacks, fallbacks);
+    EXPECT_EQ(e.submitted, 0u);
+  }
+  EXPECT_TRUE(found) << "no backend_demotion_at_construction dump in " << dir;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Postmortem, DumpCarriesEveryLiveEngineAndShardExactly) {
+  // Nine live engines (the old mirror pool had eight slots), one of them
+  // with 33 shards (the old limit was 32): the dump lists every engine,
+  // newest first, and every field of every shard equals its stats().
+  const std::string dir = fresh_dump_dir("many_engines");
+  obs::pm::set_dump_dir(dir);
+  std::vector<std::unique_ptr<engine::BatchHashEngine>> engines;
+  for (unsigned e = 0; e < 9; ++e) {
+    engine::EngineConfig cfg;
+    cfg.threads = e == 4 ? 33 : 1;
+    cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+    engines.push_back(std::make_unique<engine::BatchHashEngine>(cfg));
+    std::vector<engine::HashJob> jobs(2 + e);
+    for (engine::HashJob& job : jobs) {
+      job.algo = engine::Algo::kShake128;
+      job.out_len = 200;
+      job.message.assign(30 * e, static_cast<u8>(e));
+    }
+    engines.back()->submit_batch(jobs);
+    std::vector<engine::JobResult> results;
+    engines.back()->drain_batch(results);
+    for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.error;
+  }
+  const std::string path = obs::pm::dump_now("many_engines");
+  ASSERT_FALSE(path.empty());
+  const obs::pm::PostmortemDump dump = obs::pm::parse_dump(path);
+  ASSERT_EQ(dump.engines.size(), engines.size());
+  for (usize n = 0; n < engines.size(); ++n) {
+    const engine::EngineStats st = engines[engines.size() - 1 - n]->stats();
+    const obs::pm::DumpEngine& e = dump.engines[n];
+    EXPECT_EQ(e.submitted, st.submitted);
+    EXPECT_EQ(e.completed, st.completed);
+    EXPECT_EQ(e.failed, st.failed);
+    ASSERT_EQ(e.shards.size(), st.shards.size());
+    for (usize s = 0; s < st.shards.size(); ++s) {
+      const auto want = obs::shard_fields(st.shards[s]);
+      const auto got = obs::shard_fields(e.shards[s]);
+      for (usize f = 0; f < want.size(); ++f) {
+        EXPECT_EQ(*got[f], *want[f]) << "engine " << n << " shard " << s
+                                     << " field " << f;
+      }
+    }
+  }
+  EXPECT_GT(dump.engines[4].shards.size(), 32u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Postmortem, ParseRejectsGarbage) {

@@ -7,7 +7,10 @@
 // with the single-round measurements the paper's tables are built from.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -362,6 +365,171 @@ TEST(EngineObservability, LatencyQuantilesOrderedAndThroughputDerived) {
   EXPECT_GE(reg.counter("kvx_engine_jobs_completed_total").value(),
             jobs.size());
   EXPECT_GE(reg.counter("kvx_engine_sim_cycles_total").value(), t.sim_cycles);
+}
+
+// ---------------------------------------------------------------------------
+// One set of engine counters: stats(), /metrics and dumps read the same
+// per-engine block, and retired engines fold into a process-wide base.
+
+/// Every kvx_engine_*_total series, in engine_totals_of() order.
+constexpr const char* kEngineTotalNames[] = {
+    "kvx_engine_jobs_submitted_total",
+    "kvx_engine_jobs_completed_total",
+    "kvx_engine_job_failures_total",
+    "kvx_engine_fallbacks_total",
+    "kvx_engine_bytes_hashed_total",
+    "kvx_engine_dispatches_total",
+    "kvx_engine_sim_cycles_total",
+    "kvx_engine_permutations_total",
+    "kvx_engine_permutation_batches_total",
+    "kvx_engine_step_cycles_theta_total",
+    "kvx_engine_step_cycles_rho_pi_total",
+    "kvx_engine_step_cycles_chi_iota_total",
+    "kvx_engine_step_cycles_other_total",
+};
+
+std::vector<u64> scrape_engine_totals() {
+  auto& reg = obs::MetricsRegistry::global();
+  std::vector<u64> out;
+  for (const char* name : kEngineTotalNames) {
+    out.push_back(reg.counter(name).value());
+  }
+  return out;
+}
+
+/// What an engine's stats() says each kvx_engine_*_total should have gained.
+std::vector<u64> engine_totals_of(const engine::EngineStats& st) {
+  const engine::ShardStats t = st.totals();
+  return {st.submitted,           st.completed,         st.failed,
+          t.fallbacks,            t.bytes,              t.dispatches,
+          t.sim_cycles,           t.permutations,       t.permutation_batches,
+          t.step_cycles.theta,    t.step_cycles.rho_pi, t.step_cycles.chi_iota,
+          t.step_cycles.other};
+}
+
+/// Every counter of a stats() snapshot: the job totals, then each shard's
+/// fields in ShardField order.
+std::vector<u64> flatten_counters(const engine::EngineStats& st) {
+  std::vector<u64> out{st.submitted, st.completed, st.failed};
+  for (const engine::ShardStats& sh : st.shards) {
+    for (const u64* f : obs::shard_fields(sh)) out.push_back(*f);
+  }
+  return out;
+}
+
+std::vector<engine::HashJob> sha3_jobs(usize n, u64 seed) {
+  SplitMix64 rng(seed);
+  std::vector<engine::HashJob> jobs(n);
+  for (engine::HashJob& job : jobs) {
+    job.algo = engine::Algo::kSha3_256;
+    job.message.resize(rng.below(300));
+    for (u8& b : job.message) b = static_cast<u8>(rng.next());
+  }
+  return jobs;
+}
+
+TEST(EngineCounters, PolledCountersAreMonotoneAndMatchMetricsAtQuiescence) {
+  // stats() and in_flight() read the counter block without the state mutex
+  // while both workers write it. No counter may go down between polls, no
+  // snapshot may show more retired than submitted, and once drained stats()
+  // equals what every kvx_engine_*_total gained.
+  using namespace engine;
+  const std::vector<u64> before = scrape_engine_totals();
+  std::vector<HashJob> jobs = sha3_jobs(160, 91);
+  jobs[17].algo = Algo::kShake128;  // malformed (no out_len): fails at submit
+  EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+  BatchHashEngine eng(cfg);
+  std::atomic<bool> done{false};
+  std::atomic<u64> polls{0};
+  std::thread poller([&] {
+    std::vector<u64> last = flatten_counters(eng.stats());
+    while (!done.load()) {
+      const u64 in_flight = eng.in_flight();
+      const EngineStats st = eng.stats();
+      const std::vector<u64> now = flatten_counters(st);
+      ASSERT_EQ(now.size(), last.size());
+      for (usize i = 0; i < now.size(); ++i) {
+        EXPECT_GE(now[i], last[i]) << "counter " << i;
+      }
+      EXPECT_LE(st.completed + st.failed, st.submitted);
+      EXPECT_LE(in_flight, jobs.size());
+      last = now;
+      polls.fetch_add(1);
+    }
+  });
+  for (usize i = 0; i < jobs.size(); i += 20) {
+    eng.submit_batch(std::span(jobs).subspan(i, 20));
+  }
+  std::vector<JobResult> results;
+  eng.drain_batch(results);
+  done.store(true);
+  poller.join();
+  EXPECT_GT(polls.load(), 0u);
+
+  EXPECT_EQ(eng.in_flight(), 0u);
+  const EngineStats st = eng.stats();
+  EXPECT_EQ(st.submitted, jobs.size());
+  EXPECT_EQ(st.completed, jobs.size() - 1);
+  EXPECT_EQ(st.failed, 1u);
+  const std::vector<u64> after = scrape_engine_totals();
+  const std::vector<u64> expect = engine_totals_of(st);
+  for (usize i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], expect[i]) << kEngineTotalNames[i];
+  }
+}
+
+TEST(EngineCounters, NineLiveEnginesCountExactlyAndRetiringNeverLowersTotals) {
+  // More live engines than the old eight post-mortem mirror slots. Each
+  // engine's stats() and the registry deltas must be exact, and a scraper
+  // running throughout — across construction, dispatch and destruction —
+  // must never see a kvx_engine_*_total go down.
+  using namespace engine;
+  const std::vector<u64> before = scrape_engine_totals();
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    std::vector<u64> last = scrape_engine_totals();
+    while (!done.load()) {
+      const std::vector<u64> now = scrape_engine_totals();
+      for (usize i = 0; i < now.size(); ++i) {
+        EXPECT_GE(now[i], last[i]) << kEngineTotalNames[i];
+      }
+      last = now;
+    }
+  });
+  std::vector<std::unique_ptr<BatchHashEngine>> engines;
+  std::vector<u64> expect(std::size(kEngineTotalNames), 0);
+  for (unsigned e = 0; e < 9; ++e) {
+    EngineConfig cfg;
+    cfg.threads = 1 + e % 2;
+    cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+    engines.push_back(std::make_unique<BatchHashEngine>(cfg));
+    const std::vector<HashJob> jobs = sha3_jobs(3 + e, 100 + e);
+    u64 bytes = 0;
+    for (const HashJob& job : jobs) bytes += job.message.size();
+    engines.back()->submit_batch(jobs);
+    std::vector<JobResult> results;
+    engines.back()->drain_batch(results);
+    for (const JobResult& r : results) ASSERT_TRUE(r.ok()) << r.error;
+    const EngineStats st = engines.back()->stats();
+    EXPECT_EQ(st.submitted, jobs.size());
+    EXPECT_EQ(st.completed, jobs.size());
+    EXPECT_EQ(st.totals().jobs, jobs.size());
+    EXPECT_EQ(st.totals().bytes, bytes);
+    const std::vector<u64> mine = engine_totals_of(st);
+    for (usize i = 0; i < mine.size(); ++i) expect[i] += mine[i];
+  }
+  const std::vector<u64> live = scrape_engine_totals();
+  for (usize i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(live[i] - before[i], expect[i]) << kEngineTotalNames[i];
+  }
+  while (!engines.empty()) {
+    engines.pop_back();
+    EXPECT_EQ(scrape_engine_totals(), live);
+  }
+  done.store(true);
+  scraper.join();
 }
 
 }  // namespace

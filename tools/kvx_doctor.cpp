@@ -12,7 +12,8 @@
 // timeline, and a ±N event window around every failure anchor (job_fail,
 // backend_demotion, trace_reject, fault_injected). If the latency histogram
 // carries exemplars, the window around the worst recorded job is printed
-// too.
+// too. Each live engine gets one line: job totals, shards and lanes filled
+// (permutations per permutation dispatch; 0 before the first dispatch).
 //
 // --check cross-checks what a healthy dump must satisfy:
 //   * the merged timeline is strictly increasing with no duplicate
@@ -20,7 +21,7 @@
 //   * every ring stores exactly min(written, capacity) events;
 //   * engine counters hold submitted >= completed + failed (equality is
 //     only guaranteed at quiescence, and a dump may be mid-flight), for
-//     both the Prometheus counters and every engine mirror;
+//     both the Prometheus counters and every engine in the dump;
 //   * trace-cache entries never exceed the artifacts ever compiled;
 //   * every injected backend demotion has fault-injector firings to blame
 //     (skipped when any ring wrapped or dropped events — the matching
@@ -270,12 +271,18 @@ int inspect(const std::string& path, bool check, usize last) {
 
   for (usize n = 0; n < dump.engines.size(); ++n) {
     const obs::pm::DumpEngine& eng = dump.engines[n];
+    obs::ShardStats t;
+    for (const obs::ShardStats& s : eng.shards) t += s;
+    const double lanes = t.permutation_batches == 0
+                             ? 0.0
+                             : static_cast<double>(t.permutations) /
+                                   static_cast<double>(t.permutation_batches);
     std::printf("-- engine %zu: submitted %llu, completed %llu, failed %llu, "
-                "%zu shards\n",
+                "%zu shards, lanes filled %.2f\n",
                 n, static_cast<unsigned long long>(eng.submitted),
                 static_cast<unsigned long long>(eng.completed),
                 static_cast<unsigned long long>(eng.failed),
-                eng.shards.size());
+                eng.shards.size(), lanes);
   }
 
   if (!check) return kExitOk;
@@ -308,7 +315,7 @@ int inspect(const std::string& path, bool check, usize last) {
   c.expect(submitted >= completed + failed,
            "counters submitted >= completed + failed", submitted,
            completed + failed);
-  // Engine mirrors hold the same invariant per engine.
+  // Every engine's own totals hold the same invariant.
   for (const obs::pm::DumpEngine& eng : dump.engines) {
     c.expect(eng.submitted >= eng.completed + eng.failed,
              "engine submitted >= completed + failed", eng.submitted,

@@ -24,7 +24,9 @@
 //   * EngineStats holds submitted == completed + failed exactly;
 //   * the Prometheus counters (kvx_engine_jobs_submitted_total ==
 //     jobs_completed_total + job_failures_total) hold the same invariant,
-//     delta-checked because the registry is process-global.
+//     and kvx_engine_fallbacks_total moves by the shards' fallbacks; they
+//     sum every engine's counter blocks (destroyed ones too), so each
+//     configuration checks their deltas against its own stats().
 //
 // Exit codes: 0 all configurations pass, 1 any violation, 2 usage error.
 #include <cstdio>
