@@ -53,7 +53,6 @@
 
 namespace kvx::obs {
 class Gauge;
-class Summary;
 }  // namespace kvx::obs
 
 namespace kvx::engine {
@@ -144,12 +143,15 @@ class BatchHashEngine {
   /// lock-free backpressure signal servers compare against max_queue; see
   /// also in_flight() for queued + executing.
   [[nodiscard]] usize queue_depth() const noexcept { return queue_.depth(); }
+  /// Submitted/completed/failed, read lock-free; never more retired than
+  /// submitted. Cheap enough for every health probe.
+  [[nodiscard]] obs::JobTotals job_totals() const noexcept {
+    return counters_.jobs();
+  }
   /// Jobs submitted but not yet retired (queued or executing). Lock-free;
   /// cheap enough for per-event-loop-iteration use.
   [[nodiscard]] u64 in_flight() const noexcept {
-    const u64 retired = counters_.failed.load(std::memory_order_acquire) +
-                        counters_.completed.load(std::memory_order_acquire);
-    return counters_.submitted.load(std::memory_order_acquire) - retired;
+    return job_totals().in_flight();
   }
   /// Snapshot of the engine counters (thread-safe at any time).
   [[nodiscard]] EngineStats stats() const;
@@ -212,10 +214,6 @@ class BatchHashEngine {
   /// Tokens for the callback-bound queue-depth gauges (aggregate + one per
   /// queue shard), unbound in the destructor before queue_ dies.
   std::vector<std::pair<obs::Gauge*, u64>> depth_gauges_;
-  /// Callback-bound latency summary (p50/p99/p99.9 from the reservoir),
-  /// unbound in the destructor like the gauges.
-  obs::Summary* latency_summary_ = nullptr;
-  u64 latency_summary_token_ = 0;
   /// Completion-notification fd (eventfd/pipe), -1 = disabled. The caller
   /// owns it; see set_notify_fd().
   std::atomic<int> notify_fd_{-1};
@@ -232,7 +230,6 @@ class BatchHashEngine {
   std::vector<u64> latency_ns_;
   u64 latency_observed_ = 0;  ///< jobs offered to the reservoir
   u64 latency_max_ns_ = 0;    ///< exact maximum (not sampled)
-  u64 latency_sum_ns_ = 0;    ///< exact sum (summary _sum series)
   SplitMix64 latency_rng_{0x6B76785F6C6174ull};  ///< deterministic slots
   /// Retired outcomes not yet collected, in retirement order; each carries
   /// its seq. Workers append, the drains move it out.

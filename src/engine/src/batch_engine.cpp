@@ -159,11 +159,8 @@ BatchHashEngine::BatchHashEngine(const EngineConfig& config)
   if (counters_.total(obs::kShardFallbacks) != 0) {
     obs::pm::auto_dump("backend_demotion_at_construction");
   }
-  // Lock-order discipline: a scrape holds the registry mutex while it
-  // evaluates the summary callback, which takes state_mutex_. Registering
-  // the histogram lazily from a worker (under state_mutex_) would take the
-  // registry mutex in the opposite order — so force it here, before any
-  // worker exists.
+  // Register the latency histogram before any worker exists, so no worker
+  // ever takes the registry mutex while it holds state_mutex_.
   (void)latency_histogram();
   // Queue-depth gauges are *bound*, not set: every scrape evaluates the
   // live ring depths, so the exported values can neither go stale nor race
@@ -184,29 +181,6 @@ BatchHashEngine::BatchHashEngine(const EngineConfig& config)
       return static_cast<double>(queue_.shard_depth(s));
     }));
   }
-  // Latency summary: p50/p99/p99.9 evaluated from the reservoir at scrape
-  // time (a histogram cannot express exact high quantiles; the reservoir
-  // can). _count/_sum are the exact retire totals, not reservoir-sampled.
-  latency_summary_ = &registry.summary(
-      "kvx_engine_job_latency_quantiles_ns",
-      "Submit-to-retire job latency quantiles (reservoir-exact)");
-  latency_summary_token_ = latency_summary_->bind([this] {
-    obs::Summary::Snapshot snap;
-    std::vector<u64> lat;
-    {
-      std::lock_guard lock(state_mutex_);
-      lat = latency_ns_;
-      snap.count = latency_observed_;
-      snap.sum = static_cast<double>(latency_sum_ns_);
-    }
-    if (!lat.empty()) {
-      for (const double q : {0.5, 0.99, 0.999}) {
-        snap.quantiles.emplace_back(
-            q, static_cast<double>(reservoir_pct(lat, q)));
-      }
-    }
-    return snap;
-  });
   workers_.reserve(config_.threads);
   for (unsigned t = 0; t < config_.threads; ++t) {
     workers_.emplace_back([this, t] { worker_loop(t, *shards_[t]); });
@@ -221,9 +195,6 @@ BatchHashEngine::~BatchHashEngine() {
   // Unbind before queue_ is destroyed; a scrape after this point reads the
   // frozen final value (0 once drained).
   for (auto& [gauge, token] : depth_gauges_) gauge->unbind(token);
-  if (latency_summary_ != nullptr) {
-    latency_summary_->unbind(latency_summary_token_);
-  }
 }
 
 void BatchHashEngine::record_latency_locked(u64 sample_ns, u64 flight_seq) {
@@ -234,7 +205,6 @@ void BatchHashEngine::record_latency_locked(u64 sample_ns, u64 flight_seq) {
   }
   latency_max_ns_ = std::max(latency_max_ns_, sample_ns);
   latency_observed_ += 1;
-  latency_sum_ns_ += sample_ns;
   if (latency_ns_.size() < kMaxLatencySamples) {
     latency_ns_.push_back(sample_ns);
   } else {
@@ -426,11 +396,11 @@ usize BatchHashEngine::try_drain_ready(std::vector<JobResult>& out) {
 
 EngineStats BatchHashEngine::stats() const {
   EngineStats st;
-  // Counters are read without the state mutex; submitted loads last, so no
-  // snapshot shows more retired than submitted.
-  st.failed = counters_.failed.load(std::memory_order_acquire);
-  st.completed = counters_.completed.load(std::memory_order_acquire);
-  st.submitted = counters_.submitted.load(std::memory_order_acquire);
+  // Counters are read without the state mutex.
+  const obs::JobTotals jobs = job_totals();
+  st.submitted = jobs.submitted;
+  st.completed = jobs.completed;
+  st.failed = jobs.failed;
   st.shards.reserve(counters_.shard_count());
   for (usize s = 0; s < counters_.shard_count(); ++s) {
     st.shards.push_back(counters_.shard(s).snapshot());

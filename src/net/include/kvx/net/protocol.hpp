@@ -111,7 +111,7 @@ struct Response {
 [[nodiscard]] std::optional<Request> decode_request(std::span<const u8> payload,
                                                     std::string& error);
 
-/// Encode a request payload (client side: kvx-loadgen, tests).
+/// Encode a request payload (client side: hashbench load, tests).
 [[nodiscard]] std::vector<u8> encode_request(const Request& req);
 
 /// Decode a response payload (client side). Same total-function contract

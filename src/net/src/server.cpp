@@ -432,16 +432,16 @@ struct HashServer::Impl {
           200, "OK", "text/plain; version=0.0.4",
           obs::MetricsRegistry::global().to_prometheus());
     } else if (req.path == "/healthz") {
-      const engine::EngineStats st = eng.stats();
-      const bool ok = st.submitted >= st.completed + st.failed;
+      const obs::JobTotals jobs = eng.job_totals();
+      const bool ok = jobs.submitted >= jobs.completed + jobs.failed;
       const std::string body = strfmt(
           "%s submitted=%llu completed=%llu failed=%llu in_flight=%llu "
           "sessions=%zu backpressure=%s\n",
           ok ? "ok" : "UNHEALTHY",
-          static_cast<unsigned long long>(st.submitted),
-          static_cast<unsigned long long>(st.completed),
-          static_cast<unsigned long long>(st.failed),
-          static_cast<unsigned long long>(eng.in_flight()), sessions.size(),
+          static_cast<unsigned long long>(jobs.submitted),
+          static_cast<unsigned long long>(jobs.completed),
+          static_cast<unsigned long long>(jobs.failed),
+          static_cast<unsigned long long>(jobs.in_flight()), sessions.size(),
           governor.engaged() ? "engaged" : "idle");
       response = http_response(ok ? 200 : 503,
                                ok ? "OK" : "Service Unavailable",

@@ -5,7 +5,7 @@
 // every ShardStats field. A shard's worker is the only writer of its
 // ShardCounters; the job totals are written under the engine's state mutex
 // (its drain condition waits on them). Every view reads these blocks:
-// BatchHashEngine::stats() and in_flight() read the engine's own, the
+// BatchHashEngine::stats() and job_totals() read the engine's own, the
 // kvx_engine_*_total series are bound to engine_total(), and post-mortem
 // dumps walk the process-wide table with for_each_engine().
 //
@@ -78,6 +78,18 @@ inline ShardStats& operator+=(ShardStats& a, const ShardStats& b) noexcept {
   return a;
 }
 
+/// One engine's job totals, read together (EngineCounters::jobs()).
+struct JobTotals {
+  u64 submitted = 0;
+  u64 completed = 0;
+  u64 failed = 0;
+
+  /// Jobs submitted but not yet retired.
+  [[nodiscard]] u64 in_flight() const noexcept {
+    return submitted - completed - failed;
+  }
+};
+
 /// Add to an atomic with one writer at a time: a load and a release store,
 /// never a read-modify-write.
 inline void single_writer_add(std::atomic<u64>& a, u64 delta) noexcept {
@@ -116,6 +128,15 @@ class EngineCounters {
   std::atomic<u64> submitted{0};
   std::atomic<u64> completed{0};
   std::atomic<u64> failed{0};
+
+  /// The three job totals, lock-free, in that acquire order.
+  [[nodiscard]] JobTotals jobs() const noexcept {
+    JobTotals t;
+    t.failed = failed.load(std::memory_order_acquire);
+    t.completed = completed.load(std::memory_order_acquire);
+    t.submitted = submitted.load(std::memory_order_acquire);
+    return t;
+  }
 
   [[nodiscard]] usize shard_count() const noexcept { return shard_count_; }
   [[nodiscard]] ShardCounters& shard(usize i) noexcept { return shards_[i]; }

@@ -204,35 +204,6 @@ class Histogram {
   std::unique_ptr<ExemplarSlot[]> exemplars_;  ///< bounds + 1 (shared)
 };
 
-/// Callback-backed summary: quantiles evaluated at scrape time from a
-/// source the owner keeps (the engine's latency reservoir). Exposed in the
-/// Prometheus text format as `name{quantile="..."}` series plus _sum and
-/// _count, and under "summaries" in the JSON exposition. Omitted from
-/// post-mortem dumps (the callback needs the owner's lock).
-class Summary {
- public:
-  struct Snapshot {
-    std::vector<std::pair<double, double>> quantiles;  ///< (q, value)
-    u64 count = 0;
-    double sum = 0.0;
-  };
-
-  /// Bind the snapshot source; same token/supersession contract as
-  /// Gauge::bind.
-  u64 bind(std::function<Snapshot()> fn);
-  /// Freeze the final snapshot if `token` is still the current binding.
-  void unbind(u64 token);
-  [[nodiscard]] Snapshot value() const;
-
- private:
-  friend class MetricsRegistry;
-  Summary() = default;
-  mutable std::mutex mutex_;
-  std::function<Snapshot()> cb_;
-  u64 cb_token_ = 0;
-  Snapshot frozen_;
-};
-
 /// Exponential default buckets for nanosecond latencies: 1 µs .. ~17 s.
 [[nodiscard]] std::vector<u64> default_latency_bounds_ns();
 
@@ -244,8 +215,7 @@ struct MetricSample {
   /// Pre-rendered Prometheus label pairs (`k="v",k2="v2"`); "" for the
   /// common unlabeled case.
   std::string labels;
-  enum class Kind { kCounter, kGauge, kHistogram, kSummary } kind =
-      Kind::kCounter;
+  enum class Kind { kCounter, kGauge, kHistogram } kind = Kind::kCounter;
   u64 counter_value = 0;
   double gauge_value = 0.0;
   std::vector<u64> bounds;        ///< histogram only
@@ -253,7 +223,6 @@ struct MetricSample {
   std::vector<Histogram::Exemplar> exemplars;  ///< histogram only
   u64 hist_count = 0;
   u64 hist_sum = 0;
-  Summary::Snapshot summary;      ///< summary only
 };
 
 class MetricsRegistry {
@@ -278,7 +247,6 @@ class MetricsRegistry {
   /// `bounds` must be strictly increasing; empty = default_latency_bounds_ns.
   Histogram& histogram(const std::string& name, const std::string& help = "",
                        std::vector<u64> bounds = {});
-  Summary& summary(const std::string& name, const std::string& help = "");
 
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
   [[nodiscard]] std::string to_prometheus() const;
@@ -286,8 +254,8 @@ class MetricsRegistry {
 
   // --- Async-signal-safe scrape support (post-mortem dumps) ---------------
   // Registration also appends each entry to a fixed, append-only side index
-  // readable without the registry mutex. Summaries are excluded (their
-  // value needs a callback); bound gauges report stored_value().
+  // readable without the registry mutex; bound gauges report
+  // stored_value().
 
   static constexpr usize kPmMaxMetrics = 256;
   static constexpr usize kPmMaxBuckets = 32;
@@ -323,7 +291,6 @@ class MetricsRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<Summary> summary;
   };
 
   Entry& find_or_create(const std::string& name, const std::string& help,

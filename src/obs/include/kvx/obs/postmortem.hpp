@@ -38,8 +38,7 @@
 //                           shard 16×u64 (every ShardStats counter, in
 //                           ShardField order)
 // Constraints the format inherits from signal context: bound gauges report
-// their last stored value (callbacks cannot run under a signal), summary
-// metrics are omitted (they are derived under the engine lock), and a
+// their last stored value (callbacks cannot run under a signal), and a
 // mid-flight dump may legitimately show submitted > completed + failed.
 #pragma once
 

@@ -74,16 +74,19 @@ void unpin_engine_table() noexcept { g_readers.fetch_sub(1); }
 
 u64 engine_total(u32 field) noexcept {
   u64 sum = 0;
-  const EngineCounters* head = detail::pin_engine_table();
+  (void)detail::pin_engine_table();
   for (int attempt = 0; attempt < kMaxReadAttempts; ++attempt) {
     const u64 gen = g_gen.load(std::memory_order_acquire);
     sum = g_retired[field].load(std::memory_order_relaxed);
-    for (const EngineCounters* e = head; e != nullptr; e = e->next()) {
+    // The head is read after the generation: one read before it could
+    // still list a block whose leave has since folded it into g_retired,
+    // and that block would count twice.
+    for (const EngineCounters* e = g_head.load(); e != nullptr;
+         e = e->next()) {
       sum += e->total(field);
     }
     std::atomic_thread_fence(std::memory_order_acquire);
     if ((gen & 1) == 0 && g_gen.load(std::memory_order_relaxed) == gen) break;
-    head = g_head.load();
   }
   detail::unpin_engine_table();
   return sum;

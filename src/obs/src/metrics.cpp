@@ -38,17 +38,8 @@ const char* kind_name(MetricSample::Kind k) {
     case MetricSample::Kind::kCounter: return "counter";
     case MetricSample::Kind::kGauge: return "gauge";
     case MetricSample::Kind::kHistogram: return "histogram";
-    case MetricSample::Kind::kSummary: return "summary";
   }
   return "?";
-}
-
-/// Render a quantile label value without trailing zeros ("0.5", "0.999",
-/// "1") — the conventional Prometheus spelling.
-std::string quantile_label(double q) {
-  std::ostringstream os;
-  os << q;
-  return os.str();
 }
 
 void append_json_string(std::string& out, const std::string& s) {
@@ -103,25 +94,6 @@ void Gauge::unbind(u64 token) {
   bits_.store(pack(cb_()), std::memory_order_relaxed);
   cb_ = nullptr;
   bound_.store(false, std::memory_order_release);
-}
-
-u64 Summary::bind(std::function<Snapshot()> fn) {
-  std::lock_guard lock(mutex_);
-  cb_ = std::move(fn);
-  return ++cb_token_;
-}
-
-void Summary::unbind(u64 token) {
-  std::lock_guard lock(mutex_);
-  if (token != cb_token_ || !cb_) return;  // superseded by a later bind
-  frozen_ = cb_();
-  cb_ = nullptr;
-}
-
-Summary::Snapshot Summary::value() const {
-  std::lock_guard lock(mutex_);
-  if (cb_) return cb_();
-  return frozen_;
 }
 
 Histogram::Histogram(std::vector<u64> bounds) : bounds_(std::move(bounds)) {
@@ -264,9 +236,6 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
 }
 
 void MetricsRegistry::pm_publish_locked(Entry& e) {
-  // Summaries need their owner's callback (and lock) to evaluate — they
-  // cannot be scraped from a signal context, so they stay out of the index.
-  if (e.kind == MetricSample::Kind::kSummary) return;
   const usize n = pm_count_.load(std::memory_order_relaxed);
   if (n >= kPmMaxMetrics) return;  // overflow: absent from dumps, that's all
   pm_entries_[n] = &e;
@@ -302,8 +271,6 @@ bool MetricsRegistry::pm_read(usize i, PmRead& out) const noexcept {
         }
       }
       break;
-    case MetricSample::Kind::kSummary:
-      break;  // never indexed
   }
   return true;
 }
@@ -356,14 +323,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *e.histogram;
 }
 
-Summary& MetricsRegistry::summary(const std::string& name,
-                                  const std::string& help) {
-  std::lock_guard lock(mutex_);
-  Entry& e = find_or_create(name, help, MetricSample::Kind::kSummary);
-  if (!e.summary) e.summary.reset(new Summary());
-  return *e.summary;
-}
-
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
   std::vector<MetricSample> out;
@@ -388,9 +347,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
         s.hist_count = s.cumulative.empty() ? 0 : s.cumulative.back();
         s.hist_sum = e->histogram->sum();
         break;
-      case MetricSample::Kind::kSummary:
-        s.summary = e->summary->value();
-        break;
     }
     out.push_back(std::move(s));
   }
@@ -411,26 +367,23 @@ std::string MetricsRegistry::to_prometheus() const {
       case MetricSample::Kind::kGauge:
         out += s.name;
         if (!s.labels.empty()) out += "{" + s.labels + "}";
-        out += " " + format_double(s.gauge_value) + "\n";
+        out += ' ';
+        out += format_double(s.gauge_value);
+        out += '\n';
         break;
       case MetricSample::Kind::kHistogram: {
         for (usize i = 0; i < s.bounds.size(); ++i) {
-          out += s.name + "_bucket{le=\"" + std::to_string(s.bounds[i]) +
-                 "\"} " + std::to_string(s.cumulative[i]) + "\n";
+          out += s.name;
+          out += "_bucket{le=\"";
+          out += std::to_string(s.bounds[i]);
+          out += "\"} ";
+          out += std::to_string(s.cumulative[i]);
+          out += '\n';
         }
         out += s.name + "_bucket{le=\"+Inf\"} " +
                std::to_string(s.hist_count) + "\n";
         out += s.name + "_sum " + std::to_string(s.hist_sum) + "\n";
         out += s.name + "_count " + std::to_string(s.hist_count) + "\n";
-        break;
-      }
-      case MetricSample::Kind::kSummary: {
-        for (const auto& [q, v] : s.summary.quantiles) {
-          out += s.name + "{quantile=\"" + quantile_label(q) + "\"} " +
-                 format_double(v) + "\n";
-        }
-        out += s.name + "_sum " + format_double(s.summary.sum) + "\n";
-        out += s.name + "_count " + std::to_string(s.summary.count) + "\n";
         break;
       }
     }
@@ -440,7 +393,7 @@ std::string MetricsRegistry::to_prometheus() const {
 
 std::string MetricsRegistry::to_json() const {
   const auto samples = snapshot();
-  std::string counters, gauges, histograms, summaries;
+  std::string counters, gauges, histograms;
   for (const auto& s : samples) {
     switch (s.kind) {
       case MetricSample::Kind::kCounter:
@@ -478,34 +431,21 @@ std::string MetricsRegistry::to_json() const {
           histograms += ",\"exemplars\":[";
           for (usize i = 0; i < s.exemplars.size(); ++i) {
             if (i != 0) histograms += ',';
-            histograms += "[" + std::to_string(s.exemplars[i].value) + "," +
-                          std::to_string(s.exemplars[i].flight_seq) + "]";
+            histograms += '[';
+            histograms += std::to_string(s.exemplars[i].value);
+            histograms += ',';
+            histograms += std::to_string(s.exemplars[i].flight_seq);
+            histograms += ']';
           }
           histograms += "]";
         }
         histograms += "}";
         break;
       }
-      case MetricSample::Kind::kSummary: {
-        if (!summaries.empty()) summaries += ',';
-        append_json_string(summaries, s.name);
-        summaries += ":{\"quantiles\":{";
-        bool first = true;
-        for (const auto& [q, v] : s.summary.quantiles) {
-          if (!first) summaries += ',';
-          first = false;
-          append_json_string(summaries, quantile_label(q));
-          summaries += ':' + format_double(v);
-        }
-        summaries += "},\"count\":" + std::to_string(s.summary.count) +
-                     ",\"sum\":" + format_double(s.summary.sum) + "}";
-        break;
-      }
     }
   }
   return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "},\"summaries\":{" + summaries +
-         "}}";
+         "},\"histograms\":{" + histograms + "}}";
 }
 
 }  // namespace kvx::obs

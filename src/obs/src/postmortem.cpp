@@ -245,8 +245,6 @@ void write_metrics(Writer& w) noexcept {
         }
         break;
       }
-      case MetricSample::Kind::kSummary:
-        break;
     }
   }
 }

@@ -4,12 +4,16 @@
 // governor, and — on Linux — the full HashServer event loop over real
 // sockets: hash round-trips verified against the host golden model (on
 // the interpreter and on kvx-hashd's host-simd tier), replies that do not
-// wait behind a slower job, per-connection session lifecycle, the HTTP
-// admin plane and backpressure engage/release against a tiny engine queue.
+// wait behind a slower job, concurrent pipelined connections with every
+// reply verified, injected faults answered as per-request failures,
+// per-connection session lifecycle, the HTTP admin plane and backpressure
+// engage/release against a tiny engine queue.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -33,6 +37,7 @@
 
 #include "kvx/net/server.hpp"
 #include "kvx/sim/exec_backend.hpp"
+#include "kvx/sim/fault_injector.hpp"
 #endif
 
 namespace kvx::net {
@@ -386,6 +391,19 @@ TEST(Backpressure, RejectsDegenerateWatermarks) {
 
 // --- End-to-end over real sockets -------------------------------------------
 
+/// The HASH request that asks the server for `job`'s digest.
+Request hash_request(u64 id, const engine::HashJob& job) {
+  Request req;
+  req.id = id;
+  req.op = Opcode::kHash;
+  req.algo = job.algo;
+  req.out_len = static_cast<u32>(job.out_len);
+  req.key = job.key;
+  req.customization = job.customization;
+  req.message = job.message;
+  return req;
+}
+
 /// Minimal blocking client for the framed protocol.
 class TestClient {
  public:
@@ -535,15 +553,7 @@ TEST_F(ServerTest, HashRoundTripsVerifyAgainstGoldenModel) {
       job.key.assign(16, 0x11);
       job.customization = bytes({0x42});
     }
-    Request req;
-    req.id = 100 + i;
-    req.op = Opcode::kHash;
-    req.algo = job.algo;
-    req.out_len = static_cast<u32>(job.out_len);
-    req.key = job.key;
-    req.customization = job.customization;
-    req.message = job.message;
-    client.send_request(req);
+    client.send_request(hash_request(100 + i, job));
   }
   // Responses arrive in engine retirement order; match them by id.
   const std::map<u64, Response> replies = client.recv_responses(jobs.size());
@@ -637,15 +647,7 @@ TEST_F(ServerTest, HostSimdTierServesEveryAlgorithmAndSessions) {
     }
   }
   for (usize i = 0; i < jobs.size(); ++i) {
-    Request req;
-    req.id = i;
-    req.op = Opcode::kHash;
-    req.algo = jobs[i].algo;
-    req.out_len = static_cast<u32>(jobs[i].out_len);
-    req.key = jobs[i].key;
-    req.customization = jobs[i].customization;
-    req.message = jobs[i].message;
-    client.send_request(req);
+    client.send_request(hash_request(i, jobs[i]));
   }
   const std::map<u64, Response> replies = client.recv_responses(jobs.size());
   ASSERT_EQ(replies.size(), jobs.size());
@@ -696,6 +698,149 @@ TEST_F(ServerTest, HostSimdTierServesEveryAlgorithmAndSessions) {
   }
   EXPECT_EQ(st.failed, 0u);
   server_.reset();
+}
+
+TEST_F(ServerTest, ConcurrentPipelinedConnectionsVerifyEveryReply) {
+  // Four connections at once, each pipelining 32 requests deep: SHA3-256,
+  // SHAKE128 and KMAC256 over 0-600 B, an occasional 16-64 KiB SHA3-256
+  // whose reply the small ones overtake, and one SHAKE128 session squeezed
+  // in uneven steps. Every reply is matched by id and verified.
+  ServerConfig cfg = small_config();
+  cfg.engine.accel.backend = sim::ExecBackend::kHostSimd;
+  start(cfg);
+  constexpr usize kConns = 4;
+  constexpr usize kHashes = 160;
+  constexpr usize kWindow = 32;
+  constexpr u32 kSqueezes[] = {1, 167, 168, 500, 3, 1000};
+  constexpr usize kOpenId = 0;
+  std::atomic<usize> verified{0};
+
+  const auto run_connection = [&](u64 seed) {
+    TestClient client;
+    client.connect_to(server_->port());
+    SplitMix64 rng(seed);
+    const std::vector<u8> absorbed =
+        bytes({0x34, 0x12, static_cast<int>(seed)});
+    keccak::Xof mirror(keccak::Sha3Function::kShake128);
+    mirror.absorb(absorbed);
+    std::map<u64, std::vector<u8>> expect;  // outstanding id -> reply body
+    std::optional<u64> sid;
+    usize hashes = 0;
+    usize squeezes = 0;
+    u64 next_id = kOpenId;
+
+    Request open;
+    open.id = next_id++;
+    open.op = Opcode::kOpenSession;
+    open.algo = engine::Algo::kShake128;
+    open.message = absorbed;
+    client.send_request(open);
+    expect[open.id] = {};
+    while (!expect.empty()) {
+      while (expect.size() < kWindow) {
+        const u64 id = next_id;
+        if (sid.has_value() && squeezes < std::size(kSqueezes)) {
+          Request sq;
+          sq.id = id;
+          sq.op = Opcode::kSqueeze;
+          sq.session_id = *sid;
+          sq.squeeze_len = kSqueezes[squeezes++];
+          client.send_request(sq);
+          expect[id] = mirror.squeeze(sq.squeeze_len);
+        } else if (hashes < kHashes) {
+          engine::HashJob job;
+          const u64 pick = rng.below(3);
+          const bool large = hashes % 40 == 39;
+          job.message.resize(large ? 16 * 1024 + rng.below(48 * 1024)
+                                   : rng.below(601));
+          for (u8& b : job.message) b = static_cast<u8>(rng.next());
+          if (!large && pick == 1) {
+            job.algo = engine::Algo::kShake128;
+            job.out_len = 1 + rng.below(300);
+          } else if (!large && pick == 2) {
+            job.algo = engine::Algo::kKmac256;
+            job.out_len = 32;
+            job.key.assign(32, 0x4b);
+          }
+          client.send_request(hash_request(id, job));
+          expect[id] = engine::host_reference_digest(job);
+          ++hashes;
+        } else {
+          break;
+        }
+        ++next_id;
+      }
+      const auto resp = client.recv_response();
+      ASSERT_TRUE(resp.has_value()) << "server closed the connection";
+      const auto it = expect.find(resp->id);
+      ASSERT_NE(it, expect.end()) << "unexpected reply id " << resp->id;
+      ASSERT_TRUE(resp->ok()) << "id " << resp->id << ": "
+                              << resp->error_text();
+      if (resp->id == kOpenId) {
+        ASSERT_EQ(resp->body.size(), 8u);
+        sid = load_le64(std::span<const u8, 8>(resp->body.data(), 8));
+      } else {
+        EXPECT_EQ(resp->body, it->second) << "id " << resp->id;
+      }
+      expect.erase(it);
+      verified.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> clients;
+  for (usize c = 0; c < kConns; ++c) {
+    clients.emplace_back(run_connection, 100 + c);
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(verified.load(),
+            kConns * (1 + kHashes + std::size(kSqueezes)));
+
+  server_->stop();
+  loop_.join();
+  const engine::EngineStats st = server_->engine().stats();
+  EXPECT_EQ(st.submitted, st.completed + st.failed);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.completed, kConns * kHashes);
+  server_.reset();
+}
+
+TEST_F(ServerTest, InjectedFaultsAnswerFailedWithTheDemotionPath) {
+  // Every accelerator dispatch faults, on every tier: the HASH comes back
+  // kFailed with the engine error and each tier it tried, and the
+  // connection keeps serving.
+  ServerConfig cfg = small_config();
+  cfg.engine.accel.backend = sim::ExecBackend::kHostSimd;
+  sim::FaultPlan plan;
+  plan.rate = 1.0;
+  plan.kinds = static_cast<u32>(sim::FaultKind::kSimFault);
+  cfg.engine.accel.fault_injector = std::make_shared<sim::FaultInjector>(plan);
+  start(cfg);
+  TestClient client;
+  client.connect_to(server_->port());
+
+  engine::HashJob job;
+  job.message.assign(32, 0x61);
+  client.send_request(hash_request(1, job));
+  auto resp = client.recv_response();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->id, 1u);
+  ASSERT_EQ(resp->status, Status::kFailed);
+  const std::string text = resp->error_text();
+  EXPECT_NE(text.find("demotion path: host-simd (injected: "),
+            std::string::npos)
+      << text;
+  for (const char* tier : {"-> fused (injected: ", "-> trace (injected: ",
+                           "-> interpreter (injected: "}) {
+    EXPECT_NE(text.find(tier), std::string::npos) << tier << " in " << text;
+  }
+
+  Request ping;
+  ping.id = 2;
+  ping.op = Opcode::kPing;
+  client.send_request(ping);
+  resp = client.recv_response();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_TRUE(resp->ok());
+  EXPECT_EQ(resp->id, 2u);
 }
 
 TEST_F(ServerTest, MalformedRequestsAnswerBadRequestAndKeepTheConnection) {
@@ -820,6 +965,24 @@ TEST_F(ServerTest, StreamingSessionMatchesLocalMirror) {
 
 TEST_F(ServerTest, HttpAdminPlaneServesMetricsAndHealth) {
   start(small_config());
+  constexpr usize kJobs = 12;
+  {
+    TestClient client;
+    client.connect_to(server_->port());
+    SplitMix64 rng(23);
+    std::vector<engine::HashJob> jobs(kJobs);
+    for (usize i = 0; i < kJobs; ++i) {
+      jobs[i].message.resize(rng.below(200));
+      for (u8& b : jobs[i].message) b = static_cast<u8>(rng.next());
+      client.send_request(hash_request(i, jobs[i]));
+    }
+    const std::map<u64, Response> replies = client.recv_responses(kJobs);
+    ASSERT_EQ(replies.size(), kJobs);
+    for (const auto& [id, resp] : replies) {
+      ASSERT_TRUE(resp.ok()) << resp.error_text();
+      EXPECT_EQ(resp.body, engine::host_reference_digest(jobs[id]));
+    }
+  }
   {
     TestClient curl;
     curl.connect_to(server_->port());
@@ -834,7 +997,10 @@ TEST_F(ServerTest, HttpAdminPlaneServesMetricsAndHealth) {
     curl.connect_to(server_->port());
     const std::string health = curl.http_get("/healthz");
     EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(health.find("ok submitted="), std::string::npos);
+    // Every reply was sent after its job retired, so the totals are exact.
+    EXPECT_NE(health.find("ok submitted=12 completed=12 failed=0 in_flight=0"),
+              std::string::npos)
+        << health;
   }
   {
     TestClient curl;

@@ -33,7 +33,7 @@
 // shards' processors write no zeros.
 //
 // Prints "kvx-hashd: listening on ADDR:PORT (... backend=TIER ...)" on
-// stdout once accepting (the line CI and kvx-loadgen wait for), runs until
+// stdout once accepting (the line hashbench/run.py waits for), runs until
 // SIGINT/SIGTERM, then shuts down gracefully: intake stops, queued jobs
 // retire, and the fail-soft accounting invariant (submitted == completed +
 // failed) is checked at rest — a violation makes the exit code nonzero.
